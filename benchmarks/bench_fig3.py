@@ -9,33 +9,35 @@ motivating cross-validated selection.
 
 from __future__ import annotations
 
-from repro.core import HeuristicTriple, campaign_triples, reference_triples
+import numpy as np
+
 from repro.core.reporting import ascii_scatter
 from repro.metrics import correlation_summary
+from repro.spec import Components
 
 from conftest import write_artifact
 
+_FAMILIES = {
+    "clairvoyant": "Clairvoyant",
+    "ml": "Machine Learning",
+    "ave": "AVE2",
+    "requested": "Requested Time",
+}
 
-def _family(triple: HeuristicTriple) -> str:
-    if triple.is_clairvoyant:
-        base = "Clairvoyant"
-    elif triple.uses_learning:
-        base = "Machine Learning"
-    elif triple.predictor == "ave2":
-        base = "AVE2"
-    else:
-        base = "Requested Time"
-    sched = "SJBF" if triple.scheduler == "easy-sjbf" else "FCFS"
+
+def _family(triple: Components) -> str:
+    base = _FAMILIES[triple.predictor.name]
+    sched = "SJBF" if triple.scheduler.param_dict.get("order") == "sjbf" else "FCFS"
     return f"{base} / {sched}"
 
 
 def test_fig3(campaign, benchmark):
-    logs = campaign.config.logs
-    keys = campaign.triple_keys()
+    logs = campaign.logs
+    keys = campaign.components(include_references=False)
 
     # Scatter: MetaCentrum vs SDSC-BLUE (the paper's pair), by family.
     points: dict[str, list[tuple[float, float]]] = {}
-    for triple in campaign_triples() + reference_triples():
+    for triple in campaign.components():
         x = campaign.mean("SDSC-BLUE", triple)
         y = campaign.mean("Metacentrum", triple)
         points.setdefault(_family(triple), []).append((x, y))
@@ -47,7 +49,9 @@ def test_fig3(campaign, benchmark):
     )
 
     # Pairwise Pearson correlations over the 128 campaign triples.
-    scores_by_log = {log: campaign.score_vector(log, keys) for log in logs}
+    scores_by_log = {
+        log: np.array([campaign.mean(log, k) for k in keys]) for log in logs
+    }
     summary = correlation_summary(scores_by_log)
     corr_text = (
         f"pairwise Pearson correlation of triple scores across logs:\n"
@@ -63,7 +67,7 @@ def test_fig3(campaign, benchmark):
 
     # Shape 2: the clairvoyant SJBF point is on the Pareto corner (best or
     # near-best on both axes of the scatter pair).
-    clair_sjbf = HeuristicTriple("clairvoyant", None, "easy-sjbf")
+    clair_sjbf = ("clairvoyant", None, "easy-sjbf")
     for log in ("SDSC-BLUE", "Metacentrum"):
         clair = campaign.mean(log, clair_sjbf)
         best_campaign = min(campaign.mean(log, k) for k in keys)

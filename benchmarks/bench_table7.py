@@ -18,7 +18,7 @@ and uses SJBF ordering with a learning predictor.
 
 from __future__ import annotations
 
-from repro.core import average_reductions, leave_one_out, selection_consensus
+from repro.core import EASYPP, average_reductions, leave_one_out, selection_consensus
 from repro.core.reporting import format_percent, format_table
 
 from conftest import write_artifact
@@ -57,9 +57,10 @@ def test_table7(campaign, benchmark):
     )
     summary = "\n".join(
         [
-            f"consensus triple : {consensus.key} (selected in {folds}/6 folds)",
+            f"consensus triple : {consensus.label} "
+            f"(selected in {folds}/{len(rows)} folds)",
             f"selected triples : "
-            + ", ".join(sorted({r.selected.key for r in rows})),
+            + ", ".join(sorted({r.selected.label for r in rows})),
             f"avg reduction vs EASY  : {vs_easy:.0f}%  (paper: 28%)",
             f"avg reduction vs EASY++: {vs_easypp:.0f}%  (paper: 11%)",
         ]
@@ -80,10 +81,10 @@ def test_table7(campaign, benchmark):
     )
     # The consensus is a predictive-corrective SJBF triple, as in the paper
     # (ours sometimes selects the AVE2 predictor instead of a learned one).
-    assert consensus.scheduler == "easy-sjbf"
-    assert consensus.predictor != "requested"
+    assert consensus.scheduler == EASYPP.scheduler  # EASY-SJBF
+    assert consensus.predictor.name != "requested"
     assert folds >= 3, "selection should be (nearly) unanimous across folds"
-    n_predictive = sum(1 for r in rows if r.selected.predictor != "requested")
+    n_predictive = sum(1 for r in rows if r.selected.predictor.name != "requested")
     assert n_predictive == len(rows), "every fold must pick a predictive triple"
 
     benchmark(lambda: leave_one_out(campaign))

@@ -1,16 +1,17 @@
 """Shared fixtures for the benchmark harness.
 
-The expensive inputs (the 128-triple campaign, the prediction analysis)
-are computed once per session and cached on disk under
-``benchmarks/.cache/``, so the whole harness re-runs instantly once the
-campaign has been simulated.
+The expensive inputs (the paper's campaign, ``experiments/paper.toml``,
+and the prediction analysis) are computed once per session and cached on
+disk under ``benchmarks/.cache/``, so the whole harness re-runs
+instantly once the campaign has been simulated.
 
 The harness is headless-CI-safe: every RNG is seeded deterministically,
 nothing opens a display, and optional dependencies (e.g. matplotlib for
 local plotting experiments) cause a clean skip instead of a collection
 error -- use :func:`optional_import` for any such import.
 
-Scale knobs (environment variables):
+Scale knobs (environment variables; the first two override the spec
+file's ``[campaign]`` header):
 
 * ``REPRO_BENCH_JOBS``      -- jobs per synthetic log (default 2000);
 * ``REPRO_BENCH_REPLICAS``  -- trace replicas per log (default 5);
@@ -30,9 +31,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import CampaignConfig, analyze_predictions, run_campaign
+from repro.core import analyze_predictions, run_cells
+from repro.spec import expand_spec_obj, load_spec_file, override_campaign
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
+PAPER_SPEC = os.path.join(_HERE, os.pardir, "experiments", "paper.toml")
 CACHE_DIR = os.path.join(_HERE, ".cache")
 OUT_DIR = os.path.join(_HERE, "out")
 
@@ -88,15 +91,16 @@ def write_artifact(name: str, content: str) -> str:
 @pytest.fixture(scope="session")
 def campaign():
     """The full 6-log x 130-triple campaign (cached on disk)."""
-    config = CampaignConfig(n_jobs=bench_n_jobs(), replicas=bench_replicas())
-    cache_path = os.path.join(
-        CACHE_DIR, f"campaign_n{config.n_jobs}_r{config.replicas}.jsonl"
+    n_jobs, replicas = bench_n_jobs(), bench_replicas()
+    doc = override_campaign(
+        load_spec_file(PAPER_SPEC), n_jobs=n_jobs, replicas=replicas
     )
-    progress_path = os.path.join(
-        CACHE_DIR, f"campaign_n{config.n_jobs}_r{config.replicas}.progress.jsonl"
-    )
-    return run_campaign(
-        config, cache_path=cache_path, progress=True, progress_path=progress_path
+    stem = os.path.join(CACHE_DIR, f"campaign_n{n_jobs}_r{replicas}")
+    return run_cells(
+        expand_spec_obj(doc, source=PAPER_SPEC),
+        cache_path=stem + ".jsonl",
+        progress=True,
+        progress_path=stem + ".progress.jsonl",
     )
 
 

@@ -5,14 +5,16 @@
 2. runs ``repro spec expand --format keys`` on each (exercises the full
    CLI path, including the TOML fallback parser on Python 3.10);
 3. asserts that ``experiments/paper.toml`` expands to **exactly** the
-   128 legacy triple keys of :func:`repro.core.triples.campaign_triples`
-   (in order), followed by the 2 clairvoyant reference keys;
+   committed golden list ``scripts/paper_golden.json``: its 130 ordered
+   triple labels (the paper's 128 triples, then the 2 clairvoyant
+   references) and the ordered spec digests of all 2340 cells, so an
+   added, dropped, reordered or re-keyed cell fails;
 4. asserts that ``experiments/sweeps.toml`` exercises the list-sweep
    syntax: 3 tau values x (1 + 2-eta-sweep) predictors = 9 cells.
 
 Exits non-zero on any failure.  Usage::
 
-    python scripts/check_specs.py [--experiments DIR]
+    python scripts/check_specs.py [--experiments DIR] [--golden FILE]
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from __future__ import annotations
 import argparse
 import glob
 import os
+import json
 import subprocess
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SRC = os.path.abspath(os.path.join(_HERE, "..", "src"))
+GOLDEN = os.path.join(_HERE, "paper_golden.json")
 
-from repro.core.triples import campaign_triples, reference_triples  # noqa: E402
-
-
-_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+#: The paper's matrix: 128 triples + 2 references, 6 logs x 3 replicas.
+N_LABELS = 130
+N_CELLS = 2340
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -42,10 +46,44 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def main() -> int:
+def compare_golden(golden: dict, labels: list[str], digests: list[str]) -> list[str]:
+    """Why the expansion differs from the golden list (empty if equal).
+
+    Both lists must match entry for entry, in order, and the golden list
+    itself must still pin the whole paper matrix.
+    """
+    failures = []
+    if len(golden["labels"]) != N_LABELS or len(golden["digests"]) != N_CELLS:
+        failures.append(
+            f"golden list pins {len(golden['labels'])} label(s) and "
+            f"{len(golden['digests'])} digest(s), not {N_LABELS} and {N_CELLS}"
+        )
+    for what, got in (("labels", labels), ("digests", digests)):
+        want = golden[what]
+        if got != want:
+            index = next(
+                (i for i, (a, b) in enumerate(zip(got, want, strict=False)) if a != b),
+                min(len(got), len(want)),
+            )
+            failures.append(
+                f"paper.toml {what} differ from the golden list at index "
+                f"{index} ({len(got)} expanded, {len(want)} golden)"
+            )
+    return failures
+
+
+def _entries(stdout: str) -> list[str]:
+    return [
+        line for line in stdout.splitlines()
+        if line and not line.startswith(("#", "..."))
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiments", default="experiments")
-    args = parser.parse_args()
+    parser.add_argument("--golden", default=GOLDEN)
+    args = parser.parse_args(argv)
 
     spec_files = sorted(glob.glob(os.path.join(args.experiments, "*.toml")))
     if not spec_files:
@@ -68,32 +106,25 @@ def main() -> int:
                   f"{proc.stderr}", file=sys.stderr)
             failures += 1
             continue
-        keys = [
-            line for line in proc.stdout.splitlines()
-            if line and not line.startswith(("#", "..."))
-        ]
+        keys = _entries(proc.stdout)
         print(f"[check-specs] {path}: {len(keys)} unique triple key(s)")
         if os.path.basename(path) == "paper.toml":
-            want = [t.key for t in campaign_triples()]
-            refs = [t.key for t in reference_triples()]
-            if keys[: len(want)] != want:
-                mismatch = next(
-                    (i for i, (a, b) in enumerate(zip(keys, want, strict=False)) if a != b),
-                    min(len(keys), len(want)),
-                )
+            proc_cells = run_cli("spec", "expand", path, "--format", "cells")
+            # each cell line ends with "[<spec digest>]"
+            digests = [
+                line.rsplit("[", 1)[-1].rstrip("]")
+                for line in _entries(proc_cells.stdout)
+            ]
+            with open(args.golden, encoding="utf-8") as fh:
+                golden = json.load(fh)
+            problems = compare_golden(golden, keys, digests)
+            for problem in problems:
+                print(f"FAIL: {problem}", file=sys.stderr)
+            failures += len(problems)
+            if not problems:
                 print(
-                    f"FAIL: paper.toml does not expand to the exact 128 "
-                    f"campaign triple keys (first mismatch at index "
-                    f"{mismatch})", file=sys.stderr,
-                )
-                failures += 1
-            elif keys[len(want):] != refs:
-                print("FAIL: paper.toml reference keys wrong", file=sys.stderr)
-                failures += 1
-            else:
-                print(
-                    f"[check-specs] paper.toml == the {len(want)} campaign "
-                    f"triples + {len(refs)} references, exactly"
+                    f"[check-specs] paper.toml == the golden {N_LABELS} "
+                    f"labels and {N_CELLS} cell digests, exactly"
                 )
         if os.path.basename(path) == "sweeps.toml":
             proc_cells = run_cli("spec", "expand", path, "--format", "json")

@@ -17,41 +17,38 @@ Simulation of one heuristic triple::
                       IncrementalCorrector())
     print(result.avebsld())
 
-The paper's campaign and analyses::
+The paper's campaign and analyses -- one declarative spec file, one
+runner; the paper's tables are methods of the result::
 
-    from repro import CampaignConfig, run_campaign, leave_one_out
-    campaign = run_campaign(CampaignConfig(n_jobs=1500, replicas=2))
+    from repro import expand_spec_file, leave_one_out, run_cells
+    cells = expand_spec_file("experiments/paper.toml")
+    campaign = run_cells(cells, cache_path="campaign.jsonl")
     for row in campaign.table1_rows():
         print(row)
+    folds = leave_one_out(campaign)
 
-Declarative experiment specs (any scenario grid, not just the paper's)::
+Any scenario grid, not just the paper's, is a spec file too; aggregate
+by component triple in any registry spelling::
 
-    from repro import expand_spec_file, run_cells
-    cells = expand_spec_file("experiments/paper.toml")
-    result = run_cells(cells, cache_path="campaign.jsonl")
+    from repro import EASY
+    campaign.mean("KTH-SP2", EASY)
+    campaign.mean("KTH-SP2", ("ave2", "incremental", "easy-sjbf"))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+See DESIGN.md for the substitutions this reproduction makes.
 """
 
 from .core import (
-    EASY_TRIPLE,
-    EASYPP_TRIPLE,
-    ELOSS_TRIPLE,
-    CampaignConfig,
-    CampaignResult,
-    HeuristicTriple,
+    EASY,
+    EASYPP,
+    ELOSS,
+    SpecCampaignResult,
     analyze_predictions,
     average_reductions,
-    campaign_triples,
     leave_one_out,
-    run_campaign,
     run_cells,
     run_spec,
     run_spec_result,
     run_components_on_trace,
-    run_triple,
-    run_triple_on_trace,
     selection_consensus,
 )
 from .correct import (
@@ -101,6 +98,7 @@ from .spec import (
     SPEC_VERSION,
     CellSpec,
     ComponentSpec,
+    Components,
     WorkloadSpec,
     expand_spec_file,
     validate_spec_file,
@@ -120,27 +118,22 @@ from .workload import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "EASY_TRIPLE",
-    "EASYPP_TRIPLE",
-    "ELOSS_TRIPLE",
-    "CampaignConfig",
-    "CampaignResult",
-    "HeuristicTriple",
+    "EASY",
+    "EASYPP",
+    "ELOSS",
+    "SpecCampaignResult",
     "analyze_predictions",
     "average_reductions",
-    "campaign_triples",
     "leave_one_out",
-    "run_campaign",
     "run_cells",
     "run_spec",
     "run_spec_result",
     "run_components_on_trace",
-    "run_triple",
-    "run_triple_on_trace",
     "selection_consensus",
     "SPEC_VERSION",
     "CellSpec",
     "ComponentSpec",
+    "Components",
     "WorkloadSpec",
     "expand_spec_file",
     "validate_spec_file",

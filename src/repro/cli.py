@@ -32,16 +32,18 @@ installed ``repro`` script.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (
-    CampaignConfig,
-    HeuristicTriple,
+    EASY,
+    EASYPP,
+    ELOSS,
     analyze_predictions,
     average_reductions,
     leave_one_out,
-    run_campaign,
-    run_triple,
+    run_cells,
+    run_spec,
     selection_consensus,
     table8_rows,
 )
@@ -49,6 +51,19 @@ from .core.reporting import format_leaderboard, format_percent, format_table
 from .workload import LOG_NAMES, get_trace, save_swf, stable_seed, table4_rows
 
 __all__ = ["main", "build_parser"]
+
+#: The paper's matrix, the default cells of ``repro campaign``/``table``:
+#: from the working directory, else from this source checkout.
+_PAPER_SPEC = os.path.join("experiments", "paper.toml")
+if not os.path.exists(_PAPER_SPEC):
+    _PAPER_SPEC = os.path.join(os.path.dirname(__file__), "..", "..", _PAPER_SPEC)
+
+#: ``repro sim`` names the paper's reference triples.
+_DESCRIPTIONS = {
+    EASY: "EASY (standard)",
+    EASYPP: "EASY++ (Tsafrir et al.)",
+    ELOSS: "E-Loss learning + Incremental + EASY-SJBF (paper's winner)",
+}
 
 _TELEMETRY_HELP = (
     "write counters/histograms and a span trace into this directory "
@@ -107,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--spec",
-        default=None,
+        default=_PAPER_SPEC,
         help="run the cells expanded from this experiment spec file "
-        "(TOML/JSON; overrides --logs/--n-jobs/--replicas)",
+        "(TOML/JSON; default: experiments/paper.toml)",
     )
-    p_camp.add_argument("--logs", nargs="*", default=list(LOG_NAMES))
-    p_camp.add_argument("--n-jobs", type=int, default=2000)
-    p_camp.add_argument("--replicas", type=int, default=3)
+    p_camp.add_argument("--logs", nargs="*", default=None, help="override the spec's logs")
+    p_camp.add_argument("--n-jobs", type=int, default=None, help="override its n_jobs")
+    p_camp.add_argument("--replicas", type=int, default=None, help="override its replicas")
     p_camp.add_argument("--cache", default=None, help="JSONL result-cache path")
     p_camp.add_argument("--workers", type=int, default=None)
     p_camp.add_argument(
@@ -191,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument(
         "--no-version-check", action="store_true",
         help="accept cells from other CACHE_VERSION/ENGINE_VERSION codes (unsafe)",
-    )
-    p_merge.add_argument(
-        "--upgrade-legacy", action="store_true",
-        help="re-key pre-redesign (v4 tuple-keyed) rows to spec-digest "
-        "tokens where the same-engine lowering exists",
     )
 
     p_spec = sub.add_parser(
@@ -335,8 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print a paper table reproduction")
     p_table.add_argument("--which", required=True, choices=["1", "4", "6", "7", "8"])
-    p_table.add_argument("--n-jobs", type=int, default=2000)
-    p_table.add_argument("--replicas", type=int, default=3)
+    p_table.add_argument(
+        "--n-jobs", type=int, default=None,
+        help="override experiments/paper.toml's n_jobs (table 8: default 2000)",
+    )
+    p_table.add_argument(
+        "--replicas", type=int, default=None, help="override its replicas"
+    )
+    p_table.set_defaults(spec=_PAPER_SPEC)
     p_table.add_argument("--cache", default=None)
     p_table.add_argument("--workers", type=int, default=None)
     return parser
@@ -375,8 +391,6 @@ def _telemetry_from_args(args: argparse.Namespace, component: str):
     directory = getattr(args, "telemetry", None)
     if not directory:
         return None, None
-    import os
-
     from .obs import JsonlTraceSink, Telemetry
 
     os.makedirs(directory, exist_ok=True)
@@ -404,21 +418,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    corrector = None if args.corrector == "none" else args.corrector
-    triple = HeuristicTriple(args.predictor, corrector, args.scheduler)
+    from .spec import CellSpec, WorkloadSpec
+
     seed, derived = _resolve_seed(args)
+    spec = CellSpec.make(
+        WorkloadSpec.make(args.log, n_jobs=args.n_jobs, seed=seed),
+        args.predictor,
+        args.corrector,
+        args.scheduler,
+        tau=args.tau,
+    )
     telemetry, tele_dir = _telemetry_from_args(args, "sim")
     try:
-        outcome = run_triple(
-            args.log, triple.key, n_jobs=args.n_jobs, seed=seed, tau=args.tau,
-            telemetry=telemetry,
-        )
+        outcome = run_spec(spec, telemetry=telemetry)
     finally:
         _finish_telemetry(telemetry, tele_dir)
     origin = "derived from log name" if derived else "from --seed"
     print(f"log        : {outcome.log}")
     print(f"seed       : {outcome.seed} ({origin})")
-    print(f"triple     : {triple.describe()}")
+    print(f"triple     : {_DESCRIPTIONS.get(spec.components, spec.label)}")
     print(f"AVEbsld    : {outcome.avebsld:.2f}")
     print(f"utilization: {outcome.utilization:.3f}")
     print(f"corrections: {outcome.corrections}")
@@ -443,14 +461,25 @@ def _backend_from_args(args: argparse.Namespace):
     return backend
 
 
-def _campaign_from_args(args: argparse.Namespace, telemetry=None):
-    config = CampaignConfig(
-        logs=tuple(args.logs) if hasattr(args, "logs") else LOG_NAMES,
+def _campaign_cells(args: argparse.Namespace) -> tuple[str, list]:
+    """``(name, cells)`` of ``args.spec`` (default: the paper's matrix),
+    with ``--logs``/``--n-jobs``/``--replicas`` overriding its
+    ``[campaign]`` header when given."""
+    from .spec import expand_spec_obj, load_spec_file, override_campaign
+
+    doc = override_campaign(
+        load_spec_file(args.spec),
+        logs=getattr(args, "logs", None),
         n_jobs=args.n_jobs,
         replicas=args.replicas,
     )
-    return run_campaign(
-        config,
+    name = str(doc["campaign"].get("name", os.path.basename(args.spec)))
+    return name, expand_spec_obj(doc, source=args.spec)
+
+
+def _run_campaign_cells(args: argparse.Namespace, cells: list, telemetry=None):
+    return run_cells(
+        cells,
         cache_path=args.cache,
         workers=args.workers,
         progress=True,
@@ -458,41 +487,6 @@ def _campaign_from_args(args: argparse.Namespace, telemetry=None):
         backend=_backend_from_args(args),
         telemetry=telemetry,
     )
-
-
-def _cmd_spec_campaign(args: argparse.Namespace) -> int:
-    """``repro campaign --spec FILE``: the declarative campaign path."""
-    from .core import run_cells
-    from .spec import validate_spec_file
-
-    name, cells = validate_spec_file(args.spec)
-    print(f"spec {args.spec} ({name}): {len(cells)} cell(s)")
-    telemetry, tele_dir = _telemetry_from_args(args, "campaign")
-    try:
-        result = run_cells(
-            cells,
-            cache_path=args.cache,
-            workers=args.workers,
-            progress=True,
-            progress_path=getattr(args, "progress_log", None),
-            backend=_backend_from_args(args),
-            telemetry=telemetry,
-        )
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
-    campaign = result.to_campaign_result()
-    if campaign is not None:
-        try:
-            _print_table6(campaign)
-            return 0
-        except KeyError:
-            pass  # legacy-shaped but not the paper's matrix
-    print(
-        format_leaderboard(
-            result.leaderboard(), title=f"Scenario leaderboard ({name})"
-        )
-    )
-    return 0
 
 
 def _print_table6(result) -> None:
@@ -519,14 +513,23 @@ def _print_table6(result) -> None:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if getattr(args, "spec", None):
-        return _cmd_spec_campaign(args)
+    """``repro campaign``: run a spec file's cells (default: the paper's)."""
+    name, cells = _campaign_cells(args)
+    print(f"spec {args.spec} ({name}): {len(cells)} cell(s)")
     telemetry, tele_dir = _telemetry_from_args(args, "campaign")
     try:
-        result = _campaign_from_args(args, telemetry=telemetry)
+        result = _run_campaign_cells(args, cells, telemetry=telemetry)
     finally:
         _finish_telemetry(telemetry, tele_dir)
-    _print_table6(result)
+    try:
+        _print_table6(result)
+    except (KeyError, ValueError):
+        # no paper references (EASY, EASY++, clairvoyant, ML) on some log
+        print(
+            format_leaderboard(
+                result.leaderboard(), title=f"Scenario leaderboard ({name})"
+            )
+        )
     return 0
 
 
@@ -630,7 +633,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         args.inputs,
         out_path=args.out,
         check_versions=not args.no_version_check,
-        upgrade_legacy=args.upgrade_legacy,
     )
     print(report.describe())
     print(f"wrote {args.out}")
@@ -857,7 +859,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.which == "4":
         return _cmd_logs()
     if args.which == "8":
-        analysis, _result, procs = analyze_predictions(n_jobs=args.n_jobs)
+        analysis, _result, procs = analyze_predictions(n_jobs=args.n_jobs or 2000)
         rows = [
             (name, round(mae), f"{eloss:.3g}")
             for name, mae, eloss in table8_rows(analysis, procs)
@@ -871,8 +873,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
         return 0
 
-    args.logs = list(LOG_NAMES)
-    result = _campaign_from_args(args)
+    result = _run_campaign_cells(args, _campaign_cells(args)[1])
     if args.which == "1":
         rows = [
             (log, easy, clair, format_percent(red))
@@ -886,7 +887,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
     elif args.which == "6":
-        return _cmd_campaign(args)
+        _print_table6(result)
     elif args.which == "7":
         rows = leave_one_out(result)
         consensus, folds = selection_consensus(rows)
@@ -907,7 +908,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
         vs_easy, vs_easypp = average_reductions(rows)
-        print(f"\nconsensus triple: {consensus.key} (selected in {folds}/6 folds)")
+        print(
+            f"\nconsensus triple: {consensus.label} "
+            f"(selected in {folds}/{len(rows)} folds)"
+        )
         print(f"average reduction vs EASY  : {vs_easy:.0f}% (paper: 28%)")
         print(f"average reduction vs EASY++: {vs_easypp:.0f}% (paper: 11%)")
     return 0

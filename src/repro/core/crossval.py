@@ -1,10 +1,10 @@
 """Leave-one-out triple selection (paper Section 6.3.3, Table 7).
 
 For each workload log, the best heuristic triple is chosen on the *other*
-five logs (the one minimising their summed AVEbsld) and evaluated on the
-held-out log.  The paper finds the same triple selected in (almost) every
-fold -- the E-Loss / Incremental / EASY-SJBF combination -- and reports
-its AVEbsld against EASY and EASY++.
+logs (the one minimising their summed AVEbsld, among the triples present
+on all of them) and evaluated on the held-out log.  The paper finds the
+same triple selected in (almost) every fold -- the E-Loss / Incremental /
+EASY-SJBF combination -- and reports its AVEbsld against EASY and EASY++.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .campaign import CampaignResult
-from .triples import EASY_TRIPLE, EASYPP_TRIPLE, HeuristicTriple
+from ..spec import Components
+from .campaign import EASY, EASYPP, SpecCampaignResult
 
 __all__ = ["CrossValidationRow", "leave_one_out", "selection_consensus"]
 
@@ -24,7 +24,7 @@ class CrossValidationRow:
     """One fold of the leave-one-out evaluation."""
 
     log: str
-    selected: HeuristicTriple
+    selected: Components
     cv_score: float  # AVEbsld of the selected triple on the held-out log
     easy_score: float
     easypp_score: float
@@ -39,39 +39,39 @@ class CrossValidationRow:
         return (self.easypp_score - self.cv_score) / self.easypp_score * 100.0
 
 
-def leave_one_out(result: CampaignResult) -> list[CrossValidationRow]:
+def leave_one_out(result: SpecCampaignResult) -> list[CrossValidationRow]:
     """Table 7: per-log cross-validated triple and its scores."""
-    logs = result.config.logs
+    logs = result.logs
     if len(logs) < 2:
         raise ValueError("leave-one-out needs at least two logs")
     rows: list[CrossValidationRow] = []
     for held_out in logs:
         training = tuple(log for log in logs if log != held_out)
-        selected = result.best_triple(logs=training)
+        selected = result.best(logs=training)
         rows.append(
             CrossValidationRow(
                 log=held_out,
                 selected=selected,
                 cv_score=result.mean(held_out, selected),
-                easy_score=result.mean(held_out, EASY_TRIPLE),
-                easypp_score=result.mean(held_out, EASYPP_TRIPLE),
+                easy_score=result.mean(held_out, EASY),
+                easypp_score=result.mean(held_out, EASYPP),
             )
         )
     return rows
 
 
-def selection_consensus(rows: list[CrossValidationRow]) -> tuple[HeuristicTriple, int]:
+def selection_consensus(rows: list[CrossValidationRow]) -> tuple[Components, int]:
     """The modal selected triple and how many folds chose it.
 
     The paper reports the same triple selected in every fold but one.
     """
     if not rows:
         raise ValueError("no cross-validation rows")
-    counts: dict[str, int] = {}
+    counts: dict[Components, int] = {}
     for row in rows:
-        counts[row.selected.key] = counts.get(row.selected.key, 0) + 1
-    best_key = max(counts, key=lambda k: counts[k])
-    return HeuristicTriple.from_key(best_key), counts[best_key]
+        counts[row.selected] = counts.get(row.selected, 0) + 1
+    best = max(counts, key=lambda c: counts[c])
+    return best, counts[best]
 
 
 def average_reductions(rows: list[CrossValidationRow]) -> tuple[float, float]:

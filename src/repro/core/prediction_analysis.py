@@ -15,8 +15,7 @@ import numpy as np
 from ..predict.loss import E_LOSS
 from ..sim.results import SimulationResult
 from ..workload.archive import get_trace, stable_seed
-from .run import run_triple_on_trace
-from .triples import HeuristicTriple
+from .run import run_components_on_trace
 
 __all__ = ["PredictionAnalysis", "analyze_predictions", "DEFAULT_TECHNIQUES"]
 
@@ -75,10 +74,12 @@ def analyze_predictions(
     result: SimulationResult | None = None
     for label, predictor_key in techniques.items():
         needs_correction = predictor_key not in ("requested", "clairvoyant")
-        triple = HeuristicTriple(
-            predictor_key, corrector if needs_correction else None, scheduler
+        result = run_components_on_trace(
+            trace,
+            predictor_key,
+            corrector if needs_correction else None,
+            scheduler,
         )
-        result = run_triple_on_trace(trace, triple)
         predictions[label] = result.initial_predictions
     assert result is not None
     analysis = PredictionAnalysis(

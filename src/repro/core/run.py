@@ -4,8 +4,9 @@ The primitive is now spec-shaped: :func:`run_spec` (and its score-only
 form :func:`run_cell`) takes one :class:`repro.spec.CellSpec` -- the
 declarative description that also keys the cache and identifies cells on
 the distributed queue -- so every execution path (local pool, fsqueue
-worker, CLI one-offs) consumes the same object it is keyed by.  The
-legacy positional helpers (:func:`run_triple`) lower to specs.
+worker, CLI one-offs) consumes the same object it is keyed by.
+:func:`run_components_on_trace` runs the same component stack on a
+pre-built trace.
 
 Kept as module-level functions with picklable signatures so
 :class:`concurrent.futures.ProcessPoolExecutor` can dispatch them.
@@ -16,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..metrics.slowdown import DEFAULT_TAU, average_bounded_slowdown
+from ..metrics.slowdown import average_bounded_slowdown
 from ..obs.telemetry import Telemetry
 from ..sim.results import SimulationResult
 from ..sim.session import SimSession
 from ..spec import CellSpec, WorkloadSpec, filter_registry
-from ..workload.archive import get_trace, stable_seed
+from ..workload.archive import get_trace
 from ..workload.trace import Trace
 from .batch import TraceBundle, get_bundle
-from .triples import HeuristicTriple
 
 __all__ = [
     "RunOutcome",
@@ -34,8 +34,6 @@ __all__ = [
     "run_cell",
     "run_cell_report",
     "run_components_on_trace",
-    "run_triple_on_trace",
-    "run_triple",
 ]
 
 
@@ -50,13 +48,8 @@ class RunOutcome:
     utilization: float
     corrections: int
     max_queue_length: int
-    #: content digest of the spec that produced this outcome ("" for
-    #: outcomes built by pre-spec callers).
-    spec_digest: str = ""
-
-    @property
-    def triple(self) -> HeuristicTriple:
-        return HeuristicTriple.from_key(self.triple_key)
+    #: content digest of the spec that produced this outcome.
+    spec_digest: str
 
 
 def build_workload(workload: WorkloadSpec) -> Trace:
@@ -98,15 +91,10 @@ def _bind_static(predictor: object, bundle: TraceBundle) -> None:
         binder(bundle.static_rows())
 
 
-def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
-    """Run one fully-specified cell.  Deterministic in the spec.
-
-    ``telemetry`` (optional) receives the engine/predictor counters of
-    the run plus the cell's wall/build time split; passing one never
-    changes the schedule (instrumentation is observation-only).
-    """
-    tele = telemetry
-    t0 = perf_counter() if tele is not None and tele.enabled else 0.0
+def _cell_session(
+    spec: CellSpec, telemetry: Telemetry | None = None
+) -> tuple[SimSession, Trace]:
+    """A fresh, unfed session for one cell, plus the trace to feed it."""
     # traces come from the shared per-process bundle cache: same-trace
     # cells of a batched campaign pay the materialisation once
     bundle = get_bundle(spec.workload)
@@ -120,8 +108,21 @@ def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
         corrector,
         min_prediction=spec.min_prediction,
         trace_name=trace.name,
-        telemetry=tele,
+        telemetry=telemetry,
     )
+    return session, trace
+
+
+def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
+    """Run one fully-specified cell.  Deterministic in the spec.
+
+    ``telemetry`` (optional) receives the engine/predictor counters of
+    the run plus the cell's wall/build time split; passing one never
+    changes the schedule (instrumentation is observation-only).
+    """
+    tele = telemetry
+    t0 = perf_counter() if tele is not None and tele.enabled else 0.0
+    session, trace = _cell_session(spec, tele)
     if tele is not None and tele.enabled:
         tele.inc("engine.time.build.seconds", perf_counter() - t0)
         with tele.span(
@@ -159,18 +160,7 @@ def run_spec_result(spec: CellSpec) -> SimulationResult:
     starts, predictions, corrections) for plotting, metrics and
     timelines.  Deterministic in the spec.
     """
-    bundle = get_bundle(spec.workload)
-    trace = bundle.trace
-    scheduler, predictor, corrector = spec.build_components()
-    _bind_static(predictor, bundle)
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
-        min_prediction=spec.min_prediction,
-        trace_name=trace.name,
-    )
+    session, trace = _cell_session(spec)
     session.feed(trace)
     session.drain()
     return session.result()
@@ -243,65 +233,3 @@ def run_components_on_trace(
     session.feed(trace)
     session.drain()
     return session.result()
-
-
-def run_triple_on_trace(
-    trace: Trace,
-    triple: HeuristicTriple,
-    min_prediction: float = 60.0,
-) -> SimulationResult:
-    """Run one triple on an existing trace and return the full result.
-
-    (No ``tau`` parameter: this returns the raw per-job result, and the
-    bounded-slowdown threshold only enters when a caller aggregates it.)
-    """
-    scheduler, predictor, corrector = triple.build()
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
-        min_prediction=min_prediction,
-        trace_name=trace.name,
-    )
-    session.feed(trace)
-    session.drain()
-    return session.result()
-
-
-def run_triple(
-    log: str,
-    triple_key: str,
-    n_jobs: int,
-    seed: int | None = None,
-    min_prediction: float = 60.0,
-    tau: float = DEFAULT_TAU,
-    telemetry: Telemetry | None = None,
-) -> RunOutcome:
-    """Legacy positional entry point; lowers to :func:`run_spec`.
-
-    Deterministic: the same arguments always produce the same outcome
-    (an omitted ``seed`` resolves to ``stable_seed(log)``).
-    """
-    if seed is None:
-        seed = stable_seed(log)
-    spec = CellSpec.from_triple(
-        log,
-        triple_key,
-        n_jobs=n_jobs,
-        seed=seed,
-        min_prediction=min_prediction,
-        tau=tau,
-    )
-    outcome = run_spec(spec, telemetry=telemetry)
-    # reports expect the legacy key spelling here, not the spec label
-    return RunOutcome(
-        log=outcome.log,
-        triple_key=triple_key,
-        seed=outcome.seed,
-        avebsld=outcome.avebsld,
-        utilization=outcome.utilization,
-        corrections=outcome.corrections,
-        max_queue_length=outcome.max_queue_length,
-        spec_digest=outcome.spec_digest,
-    )

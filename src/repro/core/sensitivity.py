@@ -9,15 +9,17 @@ users a way to place their own system on the response curves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
 from ..metrics.slowdown import average_bounded_slowdown
+from ..spec import Components
 from ..workload.archive import ARCHIVE, stable_seed
 from ..workload.synthetic import WorkloadModel, synthesize
-from .run import run_triple_on_trace
-from .triples import HeuristicTriple
+from .run import run_components_on_trace
 
 __all__ = ["SweepPoint", "sweep_offered_load", "sweep_estimate_quality"]
 
@@ -34,7 +36,7 @@ class SweepPoint:
 
 def _evaluate(
     model: WorkloadModel,
-    triples: list[HeuristicTriple],
+    triples: Sequence[Sequence[Any]],
     knob: str,
     value: float,
     seeds: list[int],
@@ -44,13 +46,13 @@ def _evaluate(
         scores = []
         for seed in seeds:
             trace = synthesize(model, seed=seed)
-            result = run_triple_on_trace(trace, triple)
+            result = run_components_on_trace(trace, *triple)
             scores.append(average_bounded_slowdown(result))
         points.append(
             SweepPoint(
                 knob=knob,
                 value=value,
-                triple_key=triple.key,
+                triple_key=Components.make(*triple).label,
                 avebsld=float(np.mean(scores)),
             )
         )
@@ -58,13 +60,14 @@ def _evaluate(
 
 
 def sweep_offered_load(
-    triples: list[HeuristicTriple],
+    triples: Sequence[Sequence[Any]],
     log: str = "KTH-SP2",
     loads: tuple[float, ...] = (0.7, 0.8, 0.9),
     n_jobs: int = 1500,
     replicas: int = 2,
 ) -> list[SweepPoint]:
-    """AVEbsld of each triple as the offered load rises.
+    """AVEbsld of each triple (any registry spelling, e.g. ``("ave2",
+    "incremental", "easy-sjbf")``) as the offered load rises.
 
     Every approach degrades super-linearly with load; the gap between
     prediction-based triples and EASY should *grow* with load, because
@@ -80,7 +83,7 @@ def sweep_offered_load(
 
 
 def sweep_estimate_quality(
-    triples: list[HeuristicTriple],
+    triples: Sequence[Sequence[Any]],
     log: str = "KTH-SP2",
     margin_scales: tuple[float, ...] = (1.0, 2.0, 4.0),
     n_jobs: int = 1500,

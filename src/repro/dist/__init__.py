@@ -16,7 +16,7 @@ into a sharded, restartable, multi-host system:
   claims shards, streams cells through the shared cell runner, renews
   its lease, appends per-shard JSONL result caches;
 * :mod:`repro.dist.broker`  -- the dispatch abstraction behind
-  ``run_campaign``: :class:`LocalBroker` (in-process pool, the classic
+  ``run_cells``: :class:`LocalBroker` (in-process pool, the classic
   path) and :class:`FsQueueBroker` (the fault-tolerant coordinator:
   enqueue, monitor, re-enqueue expired leases, merge shard caches);
 * :mod:`repro.dist.merge`   -- shard-cache merging with duplicate-cell

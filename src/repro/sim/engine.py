@@ -30,7 +30,6 @@ engine, so ``ENGINE_VERSION`` did not move:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,13 +50,6 @@ __all__ = ["Simulator", "EngineStats", "simulate", "ENGINE_VERSION"]
 #: an engine change.  Version 2: incremental profile-based scheduling
 #: (the session refactor kept schedules byte-identical, so no bump).
 ENGINE_VERSION = 2
-
-#: Internals that moved to :class:`SimSession`; accessing them on a
-#: Simulator is deprecated and delegates to the most recent session.
-_SESSION_INTERNALS = frozenset(
-    {"_handle_submit", "_handle_finish", "_handle_expire", "_push_expiry",
-     "_schedule_pass"}
-)
 
 
 @dataclass
@@ -97,7 +89,6 @@ class Simulator:
         self.min_prediction = float(min_prediction)
         self.telemetry = telemetry
         self.stats = EngineStats()
-        self._session: SimSession | None = None
 
     def session(self) -> SimSession:
         """A fresh session wired with this simulator's components."""
@@ -110,7 +101,6 @@ class Simulator:
             trace_name=self.trace.name,
             telemetry=self.telemetry,
         )
-        self._session = session
         self.stats = session.stats
         return session
 
@@ -120,27 +110,6 @@ class Simulator:
         session.feed(self.trace)
         session.drain()
         return session.result()
-
-    def __getattr__(self, name: str):
-        # Legacy event-handler internals live on the session now; keep
-        # them reachable (with a warning) for out-of-tree pokers.
-        if name in _SESSION_INTERNALS:
-            warnings.warn(
-                f"Simulator.{name} moved to repro.sim.session.SimSession; "
-                "drive a session directly instead of Simulator internals",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            session = self.__dict__.get("_session")
-            if session is None:
-                raise AttributeError(
-                    f"Simulator.{name} is only available after run() started "
-                    "a session (and is deprecated; use SimSession)"
-                )
-            return getattr(session, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
 
 def simulate(

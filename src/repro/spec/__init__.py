@@ -8,7 +8,7 @@ distributed queue, backed by a unified parameterized component registry
 expander that turns TOML/JSON experiment files into cell lists.
 """
 
-from .cellspec import SPEC_VERSION, CellSpec, WorkloadSpec, canonical_json
+from .cellspec import SPEC_VERSION, CellSpec, Components, WorkloadSpec, canonical_json
 from .components import (
     ComponentRegistry,
     ComponentSpec,
@@ -23,6 +23,7 @@ from .grid import (
     expand_spec_file,
     expand_spec_obj,
     load_spec_file,
+    override_campaign,
     triple_keys_of,
     validate_spec_file,
 )
@@ -30,6 +31,7 @@ from .grid import (
 __all__ = [
     "SPEC_VERSION",
     "CellSpec",
+    "Components",
     "WorkloadSpec",
     "canonical_json",
     "ComponentRegistry",
@@ -41,6 +43,7 @@ __all__ = [
     "registry_for",
     "SpecFileError",
     "load_spec_file",
+    "override_campaign",
     "expand_spec_file",
     "expand_spec_obj",
     "validate_spec_file",

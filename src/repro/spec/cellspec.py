@@ -32,7 +32,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .components import (
     ComponentSpec,
@@ -42,7 +42,7 @@ from .components import (
     scheduler_registry,
 )
 
-__all__ = ["SPEC_VERSION", "WorkloadSpec", "CellSpec", "canonical_json"]
+__all__ = ["SPEC_VERSION", "WorkloadSpec", "Components", "CellSpec", "canonical_json"]
 
 #: Version of the canonical encoding itself (not of any component).
 SPEC_VERSION = 1
@@ -120,17 +120,69 @@ class WorkloadSpec:
             filters=tuple(obj.get("filters", ()) or ()),
         )
 
+
+class Components(NamedTuple):
+    """A cell's normalized ``(predictor, corrector, scheduler)`` component
+    specs -- the paper's heuristic triple.  Construct via :meth:`make` so
+    every spelling of one configuration compares (and hashes) equal."""
+
+    predictor: ComponentSpec
+    corrector: ComponentSpec | None
+    scheduler: ComponentSpec
+
+    @classmethod
+    def make(
+        cls,
+        predictor: ComponentSpec | str | Mapping[str, Any],
+        corrector: ComponentSpec | str | Mapping[str, Any] | None,
+        scheduler: ComponentSpec | str | Mapping[str, Any],
+    ) -> Components:
+        """Normalize any registry spelling; ``None``/``"none"`` means no
+        corrector."""
+        return cls(
+            predictor_registry().normalize(predictor),
+            None
+            if corrector in (None, "none")
+            else corrector_registry().normalize(corrector),
+            scheduler_registry().normalize(scheduler),
+        )
+
     @property
-    def is_plain(self) -> bool:
-        """True when the trace is exactly ``get_trace(log, n_jobs, seed)``."""
-        return self.processors is None and not self.filters
+    def triple_key(self) -> str | None:
+        """The legacy ``pred|corr|sched`` key, or ``None`` when any
+        component's parameterization has no legacy string spelling."""
+        pred = predictor_registry().legacy_name(self.predictor)
+        sched = scheduler_registry().legacy_name(self.scheduler)
+        if pred is None or sched is None:
+            return None
+        if self.corrector is None:
+            corr: str | None = "none"
+        else:
+            corr = corrector_registry().legacy_name(self.corrector)
+            if corr is None:
+                return None
+        return f"{pred}|{corr}|{sched}"
+
+    @property
+    def label(self) -> str:
+        """Human-facing identity: the legacy triple key when one exists,
+        otherwise a compact component summary (non-default params only)."""
+        key = self.triple_key
+        if key is not None:
+            return key
+        pred = predictor_registry().describe(self.predictor)
+        corr = (
+            corrector_registry().describe(self.corrector) if self.corrector else "none"
+        )
+        sched = scheduler_registry().describe(self.scheduler)
+        return f"{pred}|{corr}|{sched}"
 
 
 @dataclass(frozen=True)
 class CellSpec:
     """One fully-specified simulation cell.  Construct via :meth:`make`
-    (or :meth:`from_obj` / :meth:`from_triple`) so every field arrives
-    normalized; the raw constructor performs no validation."""
+    (or :meth:`from_obj`) so every field arrives normalized; the raw
+    constructor performs no validation."""
 
     workload: WorkloadSpec
     predictor: ComponentSpec
@@ -163,46 +215,16 @@ class CellSpec:
             )
         else:
             workload = WorkloadSpec.from_obj(workload)
-        if corrector in (None, "none"):
-            corrector_spec = None
-        else:
-            corrector_spec = corrector_registry().normalize(corrector)
+        components = Components.make(predictor, corrector, scheduler)
         if float(min_prediction) <= 0:
             raise ValueError("min_prediction must be positive")
         if float(tau) <= 0:
             raise ValueError("tau must be positive")
         return cls(
-            workload=workload,
-            predictor=predictor_registry().normalize(predictor),
-            corrector=corrector_spec,
-            scheduler=scheduler_registry().normalize(scheduler),
+            workload,
+            *components,
             min_prediction=float(min_prediction),
             tau=float(tau),
-        )
-
-    @classmethod
-    def from_triple(
-        cls,
-        log: str,
-        triple: str | Any,
-        n_jobs: int = 2000,
-        seed: int | None = None,
-        min_prediction: float = _DEFAULT_MIN_PREDICTION,
-        tau: float = _DEFAULT_TAU,
-    ) -> CellSpec:
-        """Lower a legacy ``(log, triple, n_jobs, seed, ...)`` tuple -- the
-        old positional API threaded through six call sites -- to a spec."""
-        from ..core.triples import HeuristicTriple
-
-        if isinstance(triple, str):
-            triple = HeuristicTriple.from_key(triple)
-        return cls.make(
-            workload=WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed),
-            predictor=triple.predictor,
-            corrector=triple.corrector,
-            scheduler=triple.scheduler,
-            min_prediction=min_prediction,
-            tau=tau,
         )
 
     @classmethod
@@ -272,34 +294,19 @@ class CellSpec:
         return scheduler, predictor, corrector
 
     @property
+    def components(self) -> Components:
+        """The ``(predictor, corrector, scheduler)`` specs as one key."""
+        return Components(self.predictor, self.corrector, self.scheduler)
+
+    @property
     def triple_key(self) -> str | None:
-        """The legacy ``pred|corr|sched`` key, or ``None`` when any
-        component's parameterization has no legacy string spelling."""
-        pred = predictor_registry().legacy_name(self.predictor)
-        sched = scheduler_registry().legacy_name(self.scheduler)
-        if pred is None or sched is None:
-            return None
-        if self.corrector is None:
-            corr: str | None = "none"
-        else:
-            corr = corrector_registry().legacy_name(self.corrector)
-            if corr is None:
-                return None
-        return f"{pred}|{corr}|{sched}"
+        """See :attr:`Components.triple_key`."""
+        return self.components.triple_key
 
     @property
     def label(self) -> str:
-        """Human-facing identity: the legacy triple key when one exists,
-        otherwise a compact component summary (non-default params only)."""
-        key = self.triple_key
-        if key is not None:
-            return key
-        pred = predictor_registry().describe(self.predictor)
-        corr = (
-            corrector_registry().describe(self.corrector) if self.corrector else "none"
-        )
-        sched = scheduler_registry().describe(self.scheduler)
-        return f"{pred}|{corr}|{sched}"
+        """See :attr:`Components.label`."""
+        return self.components.label
 
     def with_workload(self, **changes: Any) -> CellSpec:
         """A copy with workload fields replaced (re-normalized)."""

@@ -20,8 +20,7 @@ configuration always produce the same canonical JSON and therefore the
 same :class:`~repro.spec.cellspec.CellSpec` digest.  Conversely
 :meth:`ComponentRegistry.legacy_name` lowers a spec back to the old
 string key when (and only when) the configuration is expressible there,
-which is what keeps pre-redesign cache rows and the paper's triple keys
-round-trippable.
+which is what keeps the paper's triple keys round-trippable as labels.
 """
 
 from __future__ import annotations

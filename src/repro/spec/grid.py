@@ -35,8 +35,9 @@ sweeps the same way::
                   weight = "large-area", eta = [0.3, 0.5]}}]
 
 Expansion order is grid-block, then predictor, corrector, scheduler
-(matching :func:`repro.core.triples.campaign_triples`, with component
-param sweeps expanding in declaration order at the entry's position),
+(with component param sweeps expanding in declaration order at the
+entry's position; ``scripts/check_specs.py`` pins the resulting order of
+``experiments/paper.toml`` against a golden digest list),
 then the knob axes (n_jobs, min_prediction, tau, processors), then log,
 then seed; cells that expand identically (same digest) are emitted once.
 """
@@ -55,6 +56,7 @@ from .cellspec import CellSpec, WorkloadSpec
 __all__ = [
     "SpecFileError",
     "load_spec_file",
+    "override_campaign",
     "expand_spec_file",
     "expand_spec_obj",
     "validate_spec_file",
@@ -92,6 +94,22 @@ def load_spec_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise SpecFileError(f"{path}: spec document must be a table/object")
     return doc
+
+
+def override_campaign(doc: Mapping[str, Any], **values: Any) -> dict:
+    """A copy of a spec document with ``[campaign]`` keys replaced.
+
+    ``None`` values are skipped, so optional overrides (CLI flags, bench
+    environment knobs) apply only when given; a ``replicas`` override
+    drops the header's ``seeds``, since a table takes one or the other.
+    """
+    campaign = dict(doc.get("campaign", {}))
+    for key, value in values.items():
+        if value is not None:
+            campaign[key] = value
+    if values.get("replicas") is not None:
+        campaign.pop("seeds", None)
+    return {**doc, "campaign": campaign}
 
 
 def expand_spec_file(path: str) -> list[CellSpec]:

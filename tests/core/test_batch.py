@@ -29,6 +29,8 @@ from repro.core import (
 from repro.dist import LocalBroker
 from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
 
+from tests.helpers import triple_cell
+
 #: Every scheduler family x every predictor family, on one shared trace.
 SCHEDULERS = ("easy", "easy-sjbf", "conservative")
 PREDICTORS = (
@@ -45,7 +47,7 @@ SEED = 7
 
 def family_matrix(log=LOG, n_jobs=N_JOBS, seed=SEED):
     return [
-        CellSpec.from_triple(
+        triple_cell(
             log, f"{pred}|{corr}|{sched}", n_jobs=n_jobs, seed=seed
         )
         for sched in SCHEDULERS
@@ -135,7 +137,7 @@ class TestGrouping:
         for seed in (1, 2):
             for sched in ("easy", "easy-sjbf"):
                 out.append(
-                    CellSpec.from_triple(
+                    triple_cell(
                         LOG, f"requested|none|{sched}", n_jobs=50, seed=seed
                     )
                 )

@@ -14,35 +14,34 @@ import pytest
 
 import repro.core.campaign as campaign_mod
 import repro.core.run as run_mod
-from repro.core import (
-    CampaignConfig,
-    HeuristicTriple,
-    ResultCache,
-    format_progress,
-    load_progress,
-    run_campaign,
+from repro.core import ResultCache, format_progress, load_progress, run_cells
+from repro.spec import expand_spec_obj
+
+#: A tiny but heterogeneous triple subset (no corrector, corrector, SJBF)
+#: on one log, two replicas: 8 cells.
+CELLS = expand_spec_obj(
+    {
+        "campaign": {"logs": ["KTH-SP2"], "n_jobs": 120, "replicas": 2},
+        "grid": [
+            {"predictor": "requested", "scheduler": ["easy", "easy-sjbf"]},
+            {
+                "predictor": "ave2",
+                "corrector": "incremental",
+                "scheduler": ["easy", "easy-sjbf"],
+            },
+        ],
+    }
 )
-
-#: A tiny but heterogeneous triple subset: no corrector, corrector, SJBF.
-TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-]
-
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=120, replicas=2)
 
 
 @pytest.fixture(scope="module")
 def warm_campaign(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache") / "cells.jsonl"
     progress = tmp_path_factory.mktemp("progress") / "progress.jsonl"
-    result = run_campaign(
-        CONFIG,
+    result = run_cells(
+        CELLS,
         cache_path=str(cache),
         workers=1,
-        triples=TRIPLES,
         progress_path=str(progress),
     )
     return result, cache, progress
@@ -57,9 +56,7 @@ class TestWarmCache:
             raise AssertionError(f"simulation dispatched for {spec}")
 
         monkeypatch.setattr(run_mod, "run_cell_report", boom)
-        again = run_campaign(
-            CONFIG, cache_path=str(cache), workers=1, triples=TRIPLES
-        )
+        again = run_cells(CELLS, cache_path=str(cache), workers=1)
         assert again.scores == result.scores
 
     def test_partial_cache_resumes_only_missing_cells(
@@ -80,9 +77,7 @@ class TestWarmCache:
             return real(spec, with_telemetry=with_telemetry)
 
         monkeypatch.setattr(run_mod, "run_cell_report", counting)
-        resumed = run_campaign(
-            CONFIG, cache_path=str(partial), workers=1, triples=TRIPLES
-        )
+        resumed = run_cells(CELLS, cache_path=str(partial), workers=1)
         assert resumed.scores == result.scores
         assert len(calls) == len(lines) - len(kept)
 
@@ -99,18 +94,17 @@ class TestWarmCache:
             return real(spec, with_telemetry=with_telemetry)
 
         monkeypatch.setattr(run_mod, "run_cell_report", counting)
-        run_campaign(CONFIG, cache_path=str(cache), workers=1, triples=TRIPLES)
-        assert len(calls) == len(TRIPLES) * CONFIG.replicas
+        run_cells(CELLS, cache_path=str(cache), workers=1)
+        assert len(calls) == len(CELLS)
 
 
 class TestParallelEqualsSerial:
     def test_scores_identical(self, warm_campaign, tmp_path):
         serial, _, _ = warm_campaign
-        parallel = run_campaign(
-            CONFIG,
+        parallel = run_cells(
+            CELLS,
             cache_path=str(tmp_path / "par.jsonl"),
             workers=2,
-            triples=TRIPLES,
         )
         assert parallel.scores == serial.scores
 
@@ -120,7 +114,7 @@ class TestProgressStream:
         _, _, progress = warm_campaign
         events = load_progress(str(progress))
         kinds = [e["event"] for e in events]
-        n_cells = len(TRIPLES) * CONFIG.replicas
+        n_cells = len(CELLS)
         assert kinds[0] == "start"
         assert kinds[-1] == "end"
         assert kinds.count("cell") == n_cells

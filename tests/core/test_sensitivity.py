@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import EASY_TRIPLE, HeuristicTriple
+from repro.core import EASY
 from repro.core.sensitivity import (
     SweepPoint,
     sweep_estimate_quality,
     sweep_offered_load,
 )
 
-CLAIRVOYANT = HeuristicTriple("clairvoyant", None, "easy-sjbf")
+CLAIRVOYANT = ("clairvoyant", None, "easy-sjbf")
 
 
 @pytest.fixture(scope="module")
 def load_sweep():
     return sweep_offered_load(
-        [EASY_TRIPLE, CLAIRVOYANT],
+        [EASY, CLAIRVOYANT],
         loads=(0.65, 0.9),
         n_jobs=500,
         replicas=2,
@@ -37,7 +37,8 @@ class TestLoadSweep:
         """
         by = {(p.value, p.triple_key): p.avebsld for p in load_sweep}
         for load in (0.65, 0.9):
-            assert by[(load, CLAIRVOYANT.key)] < by[(load, EASY_TRIPLE.key)]
+            clairvoyant = by[(load, "clairvoyant|none|easy-sjbf")]
+            assert clairvoyant < by[(load, EASY.label)]
 
     def test_scores_valid(self, load_sweep):
         assert all(p.avebsld >= 1.0 and np.isfinite(p.avebsld) for p in load_sweep)
@@ -60,6 +61,6 @@ class TestEstimateQualitySweep:
 
     def test_knob_recorded(self):
         points = sweep_estimate_quality(
-            [EASY_TRIPLE], margin_scales=(2.0,), n_jobs=300, replicas=1
+            [EASY], margin_scales=(2.0,), n_jobs=300, replicas=1
         )
         assert all(p.knob == "margin_scale" and p.value == 2.0 for p in points)

@@ -8,9 +8,11 @@ from repro.dist import CellCostModel, load_bench_cost_model, plan_shards
 from repro.dist.shards import DEFAULT_CELLS_PER_SHARD
 from repro.spec import CellSpec
 
+from tests.helpers import triple_cell
+
 
 def cell(log, key, seed, n_jobs=500):
-    return CellSpec.from_triple(log, key, n_jobs=n_jobs, seed=seed)
+    return triple_cell(log, key, n_jobs=n_jobs, seed=seed)
 
 
 def cells_for(n, logs=("KTH-SP2", "Curie"), seed0=100, n_jobs=500):

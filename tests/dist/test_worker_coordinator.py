@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core import CampaignConfig, HeuristicTriple, run_campaign
+from repro.core import run_cells
 from repro.core.campaign import ResultCache
 from repro.dist import (
     FsQueue,
@@ -19,16 +19,29 @@ from repro.dist import (
     resolve_backend,
     run_worker,
 )
+from repro.spec import CellSpec, WorkloadSpec
+from repro.workload import stable_seed
 
 #: Heterogeneous little triple set: plain, corrected, SJBF, clairvoyant.
 TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-    HeuristicTriple("clairvoyant", None, "easy"),
+    ("requested", None, "easy"),
+    ("requested", None, "easy-sjbf"),
+    ("ave2", "incremental", "easy-sjbf"),
+    ("clairvoyant", None, "easy"),
 ]
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=2)
+
+def make_cells(n_jobs=80, replicas=2, triples=TRIPLES) -> list[CellSpec]:
+    """KTH-SP2 cells in replica-major order."""
+    seed = stable_seed("KTH-SP2")
+    return [
+        CellSpec.make(WorkloadSpec.make("KTH-SP2", n_jobs=n_jobs, seed=seed + r), *t)
+        for r in range(replicas)
+        for t in triples
+    ]
+
+
+CELLS = make_cells()
 
 
 def start_worker(queue_dir, worker_id, **kwargs):
@@ -49,7 +62,7 @@ def single_host(tmp_path_factory):
     """Reference run + canonical cache bytes."""
     tmp = tmp_path_factory.mktemp("single")
     cache = str(tmp / "cache.jsonl")
-    result = run_campaign(CONFIG, cache_path=cache, workers=2, triples=TRIPLES)
+    result = run_cells(CELLS, cache_path=cache, workers=2)
     canonical = str(tmp / "canonical.jsonl")
     merge_caches([cache], out_path=canonical)
     with open(canonical, "rb") as fh:
@@ -82,7 +95,7 @@ class TestTwoWorkerCampaign:
         broker = FsQueueBroker(
             qdir, cells_per_shard=1, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         assert result.scores == reference.scores
@@ -99,11 +112,15 @@ class TestTwoWorkerCampaign:
 
     def test_both_workers_participated(self, tmp_path, single_host):
         qdir = str(tmp_path / "q")
-        threads_results = [start_worker(qdir, f"w{i}") for i in range(2)]
+        # warm-bundle cells take milliseconds: poll fast enough that an
+        # idle worker cannot sleep through the whole queue
+        threads_results = [
+            start_worker(qdir, f"w{i}", poll_interval=0.002) for i in range(2)
+        ]
         broker = FsQueueBroker(
             qdir, cells_per_shard=1, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        run_campaign(CONFIG, triples=TRIPLES, backend=broker)
+        run_cells(CELLS, backend=broker)
         for thread, _ in threads_results:
             thread.join(timeout=60)
         shards = [results["stats"].shards for _, results in threads_results]
@@ -124,7 +141,7 @@ class TestGroupedShardCampaign:
         # the campaign's 8 cells form 2 trace groups (2 replica seeds x
         # 4 triples); cells_per_shard=4 lets the planner emit exactly
         # one trace-pure shard per group
-        cells = CONFIG.cell_specs(TRIPLES)
+        cells = CELLS
         from repro.dist import plan_shards
 
         planned = plan_shards(cells, cells_per_shard=4)
@@ -138,9 +155,7 @@ class TestGroupedShardCampaign:
             qdir, cells_per_shard=4, lease_ttl=60.0, poll_interval=0.05,
             timeout=300.0,
         )
-        result = run_campaign(
-            CONFIG, cache_path=cache, triples=TRIPLES, backend=broker
-        )
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         assert result.scores == reference.scores
@@ -164,7 +179,7 @@ class TestCrashRecovery:
         # Plan and enqueue exactly like a coordinator, then "crash" it:
         # claim one shard as a zombie worker that simulates one cell and
         # disappears without completing or renewing.
-        cells = CONFIG.cell_specs(TRIPLES)
+        cells = CELLS
         from repro.dist import plan_shards
 
         for shard in plan_shards(cells, cells_per_shard=4, prefix="g1"):
@@ -187,7 +202,7 @@ class TestCrashRecovery:
         broker = FsQueueBroker(
             qdir, cells_per_shard=4, lease_ttl=2.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         thread.join(timeout=60)
 
         assert result.scores == reference.scores
@@ -205,7 +220,7 @@ class TestCrashRecovery:
     def test_attempts_exhausted_raises(self, tmp_path):
         qdir = str(tmp_path / "q")
         queue = FsQueue.create(qdir, lease_ttl=0.1)
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=40, replicas=1)
+        cells = make_cells(n_jobs=40, replicas=1, triples=TRIPLES[:1])
         # a zombie claims the only shard and never works; with
         # max_attempts=1 the expiry fails the shard immediately
         broker = FsQueueBroker(
@@ -223,7 +238,7 @@ class TestCrashRecovery:
         thread = threading.Thread(target=zombie_claimer, daemon=True)
         thread.start()
         with pytest.raises(RuntimeError, match="exhausted"):
-            run_campaign(config, triples=TRIPLES[:1], backend=broker)
+            run_cells(cells, backend=broker)
         thread.join(timeout=10)
 
 
@@ -291,7 +306,7 @@ class TestSignalHygiene:
         broker = FsQueueBroker(
             qdir, cells_per_shard=2, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, backend=broker)
         thread.join(timeout=60)
         assert result.scores == reference.scores
         assert results["stats"].shards > 0
@@ -308,11 +323,11 @@ class TestWarmRestart:
         broker = FsQueueBroker(
             qdir, cells_per_shard=2, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        first = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        first = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         # no worker running now: must still return instantly from cache
-        again = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        again = run_cells(CELLS, cache_path=cache, backend=broker)
         assert again.scores == first.scores == reference.scores
 
     def test_results_on_disk_survive_coordinator_loss(self, tmp_path, single_host):
@@ -326,12 +341,10 @@ class TestWarmRestart:
         )
         # first coordinator writes NO canonical cache (simulates dying
         # before its cache hit disk -- results live only in the queue)
-        first = run_campaign(CONFIG, cache_path=None, triples=TRIPLES, backend=broker)
+        first = run_cells(CELLS, cache_path=None, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         # second coordinator, fresh cache, no workers: everything must
         # come from the harvested shard results
-        second = run_campaign(
-            CONFIG, cache_path=str(tmp_path / "c2.jsonl"), triples=TRIPLES, backend=broker
-        )
+        second = run_cells(CELLS, cache_path=str(tmp_path / "c2.jsonl"), backend=broker)
         assert second.scores == first.scores == reference.scores

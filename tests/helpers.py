@@ -8,10 +8,45 @@ resolve for rootdir-anchored test packages.
 
 from __future__ import annotations
 
+import os
+
 from repro.sim.results import JobRecord
+from repro.spec import (
+    CellSpec,
+    WorkloadSpec,
+    expand_spec_obj,
+    load_spec_file,
+    override_campaign,
+)
 from repro.workload import Job
 
-__all__ = ["make_job", "make_record"]
+__all__ = ["PAPER_SPEC", "make_job", "make_record", "paper_cells", "triple_cell"]
+
+PAPER_SPEC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "experiments", "paper.toml"
+)
+
+
+def triple_cell(
+    log: str, triple_key: str, n_jobs: int = 2000, seed: int | None = None, **engine
+) -> CellSpec:
+    """The cell of a ``pred|corr|sched`` key on a plain synthetic workload
+    (``engine`` takes ``min_prediction`` / ``tau``)."""
+    workload = WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed)
+    return CellSpec.make(workload, *triple_key.split("|"), **engine)
+
+
+def paper_cells(
+    logs: list[str] | None = None,
+    n_jobs: int | None = None,
+    replicas: int | None = None,
+) -> list[CellSpec]:
+    """``experiments/paper.toml``'s cells, with its ``[campaign]`` header
+    overridden where an argument is given (the CLI flags' semantics)."""
+    doc = override_campaign(
+        load_spec_file(PAPER_SPEC), logs=logs, n_jobs=n_jobs, replicas=replicas
+    )
+    return expand_spec_obj(doc, source=PAPER_SPEC)
 
 
 def make_job(

@@ -17,6 +17,8 @@ from repro.core.run import run_cell_report, run_spec
 from repro.obs import Telemetry
 from repro.spec import CellSpec
 
+from tests.helpers import triple_cell
+
 TRIPLES = [
     "requested|none|easy",
     "ave2|incremental|easy-sjbf",
@@ -26,7 +28,7 @@ TRIPLES = [
 
 
 def _spec(triple_key: str, n_jobs: int = 120) -> CellSpec:
-    return CellSpec.from_triple("KTH-SP2", triple_key, n_jobs=n_jobs, seed=7)
+    return triple_cell("KTH-SP2", triple_key, n_jobs=n_jobs, seed=7)
 
 
 def _schedule(outcome_spec: CellSpec, telemetry: Telemetry | None):

@@ -1,11 +1,11 @@
 """Streaming session API: equivalence with batch, monotonicity, queries,
-machine events, external completions, and the deprecation shims."""
+machine events, external completions, and the batch Simulator wrapper."""
 
 import json
 
 import pytest
 
-from repro.core.triples import EASYPP_TRIPLE, HeuristicTriple, campaign_triples
+from repro.core import EASYPP
 from repro.correct import IncrementalCorrector
 from repro.predict import (
     ClairvoyantPredictor,
@@ -20,9 +20,10 @@ from repro.sim import (
     Simulator,
     simulate,
 )
+from repro.spec import CellSpec, Components, WorkloadSpec
 from repro.workload import Trace, get_trace
 
-from tests.helpers import make_job
+from tests.helpers import make_job, paper_cells
 
 
 def schedule_bytes(result) -> bytes:
@@ -33,8 +34,13 @@ def schedule_bytes(result) -> bytes:
     return json.dumps(rows).encode("utf-8")
 
 
-def make_session(triple: HeuristicTriple, processors: int) -> SimSession:
-    scheduler, predictor, corrector = triple.build()
+def build(triple: Components) -> tuple:
+    """Fresh ``(scheduler, predictor, corrector)`` for one triple."""
+    return CellSpec.make(WorkloadSpec.make("KTH-SP2"), *triple).build_components()
+
+
+def make_session(triple: Components, processors: int) -> SimSession:
+    scheduler, predictor, corrector = build(triple)
     return SimSession(processors, scheduler, predictor, corrector)
 
 
@@ -63,15 +69,18 @@ class TestBatchStreamingEquivalence:
     """A streamed session must be byte-identical to ``Simulator.run()``."""
 
     # every 16th of the 128-triple campaign matrix, plus the references
-    SAMPLE = campaign_triples()[::16] + [
-        HeuristicTriple("clairvoyant", None, "easy"),
-        HeuristicTriple("requested", None, "conservative"),
-        HeuristicTriple("ave2", "incremental", "conservative"),
+    SAMPLE = [
+        cell.components
+        for cell in paper_cells(logs=["KTH-SP2"], replicas=1)[:128:16]
+    ] + [
+        Components.make("clairvoyant", None, "easy"),
+        Components.make("requested", None, "conservative"),
+        Components.make("ave2", "incremental", "conservative"),
     ]
 
-    @pytest.mark.parametrize("triple", SAMPLE, ids=lambda t: t.key)
+    @pytest.mark.parametrize("triple", SAMPLE, ids=lambda t: t.label)
     def test_streamed_schedule_matches_batch(self, stream_kth, triple):
-        scheduler, predictor, corrector = triple.build()
+        scheduler, predictor, corrector = build(triple)
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
         session = make_session(triple, stream_kth.processors)
@@ -79,10 +88,10 @@ class TestBatchStreamingEquivalence:
         assert schedule_bytes(session.result()) == schedule_bytes(batch)
 
     def test_single_feed_then_drain_matches_batch(self, stream_kth):
-        scheduler, predictor, corrector = EASYPP_TRIPLE.build()
+        scheduler, predictor, corrector = build(EASYPP)
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
-        session = make_session(EASYPP_TRIPLE, stream_kth.processors)
+        session = make_session(EASYPP, stream_kth.processors)
         assert session.feed(stream_kth) == len(stream_kth)
         session.drain()
         assert schedule_bytes(session.result()) == schedule_bytes(batch)
@@ -161,10 +170,10 @@ class TestMidStreamFeed:
         """Streaming half the trace, draining to the midpoint, then
         feeding the rest still reproduces the batch schedule (every job
         is fed before the clock passes its submit time)."""
-        scheduler, predictor, corrector = EASYPP_TRIPLE.build()
+        scheduler, predictor, corrector = build(EASYPP)
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
-        session = make_session(EASYPP_TRIPLE, stream_kth.processors)
+        session = make_session(EASYPP, stream_kth.processors)
         jobs = list(stream_kth)
         half = len(jobs) // 2
         session.feed(jobs[:half])
@@ -179,10 +188,10 @@ class TestQueries:
     def test_query_is_side_effect_free(self, stream_kth):
         """Interleaving queries into a streamed run must not change a
         single byte of the schedule."""
-        plain = make_session(EASYPP_TRIPLE, stream_kth.processors)
+        plain = make_session(EASYPP, stream_kth.processors)
         stream_trace(plain, stream_kth)
 
-        probed = make_session(EASYPP_TRIPLE, stream_kth.processors)
+        probed = make_session(EASYPP, stream_kth.processors)
         probe = make_job(job_id=10**9, submit_time=0.0, runtime=600.0,
                          processors=2, requested_time=1200.0)
         for job in stream_kth:
@@ -439,23 +448,15 @@ class TestSnapshotAndResult:
 
 
 class TestDeprecationShims:
-    def test_simulator_internals_warn(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        sim.run()
-        with pytest.warns(DeprecationWarning, match="SimSession"):
-            handler = sim._schedule_pass
-        assert callable(handler)
-
-    def test_simulator_internals_before_run_raise(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(AttributeError, match="deprecated"):
-                sim._handle_submit
+    """The batch :class:`Simulator` wrapper; its event-handler internals
+    live on :class:`SimSession` only."""
 
     def test_unknown_attribute_still_raises_plainly(self, tiny_trace):
         sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
         with pytest.raises(AttributeError):
             sim.definitely_not_an_attribute
+        with pytest.raises(AttributeError):
+            sim._schedule_pass  # moved to SimSession
 
     def test_simulator_stats_track_session(self, tiny_trace):
         sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())

@@ -13,6 +13,8 @@ import pytest
 
 from repro.spec import SPEC_VERSION, CellSpec, WorkloadSpec
 
+from tests.helpers import triple_cell
+
 #: (constructor kwargs template id, expected 16-hex digest).  Golden:
 #: re-pin only on a deliberate SPEC_VERSION bump.
 GOLDEN = {
@@ -24,10 +26,10 @@ GOLDEN = {
 
 def golden_cells():
     return {
-        "paper-easy": CellSpec.from_triple(
+        "paper-easy": triple_cell(
             "KTH-SP2", "requested|none|easy", n_jobs=2000, seed=7
         ),
-        "eloss-tuned-engine": CellSpec.from_triple(
+        "eloss-tuned-engine": triple_cell(
             "Curie",
             "ml:sq-lin-large-area|incremental|easy-sjbf",
             n_jobs=1500,
@@ -79,7 +81,7 @@ class TestGoldenDigests:
 class TestCanonicalEquivalence:
     def test_spelling_invariance(self):
         """Legacy strings, dicts and explicit params digest identically."""
-        via_triple = CellSpec.from_triple(
+        via_triple = triple_cell(
             "KTH-SP2", "ave2|incremental|easy-sjbf", n_jobs=100, seed=3
         )
         via_dicts = CellSpec.make(
@@ -90,6 +92,22 @@ class TestCanonicalEquivalence:
         )
         assert via_triple.digest() == via_dicts.digest()
         assert via_triple == via_dicts
+
+    def test_components_spelling_invariance(self):
+        """Every spelling of one triple is one (hashable) Components key."""
+        from repro.spec import Components
+
+        legacy = Components.make("ave2", "incremental", "easy-sjbf")
+        explicit = Components.make(
+            {"name": "ave", "params": {"k": 2}},
+            {"name": "incremental"},
+            {"name": "easy", "params": {"order": "sjbf"}},
+        )
+        assert legacy == explicit and hash(legacy) == hash(explicit)
+        assert Components.make("requested", "none", "easy").corrector is None
+        cell = triple_cell("KTH-SP2", "ave2|incremental|easy-sjbf", n_jobs=100)
+        assert cell.components == legacy
+        assert legacy.label == cell.label == "ave2|incremental|easy-sjbf"
 
     def test_raw_workloadspec_normalizes_like_make(self):
         """A hand-constructed WorkloadSpec with unnormalized filters must

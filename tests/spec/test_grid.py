@@ -8,6 +8,7 @@ from repro.spec import (
     SpecFileError,
     expand_spec_file,
     expand_spec_obj,
+    override_campaign,
     triple_keys_of,
     validate_spec_file,
 )
@@ -42,15 +43,13 @@ class TestExpansion:
         ]
 
     def test_replica_seeds_match_campaign_config(self, tmp_path):
-        from repro.core import CampaignConfig
+        from repro.workload import stable_seed
 
         path = tmp_path / "mini.toml"
         path.write_text(MINI_TOML)
         cells = expand_spec_file(str(path))
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=120, replicas=2)
-        assert sorted({c.workload.seed for c in cells}) == sorted(
-            config.seeds_for("KTH-SP2")
-        )
+        base = stable_seed("KTH-SP2")
+        assert sorted({c.workload.seed for c in cells}) == [base, base + 1]
 
     def test_json_spec_equivalent(self, tmp_path):
         doc = load_toml_text(MINI_TOML)
@@ -142,29 +141,46 @@ class TestExpansion:
             expand_spec_obj({"campaign": {"logs": ["KTH-SP2"]}})
 
 
+class TestOverrideCampaign:
+    """``override_campaign``: the CLI flags' and bench knobs' semantics."""
+
+    DOC = {"campaign": {"logs": ["KTH-SP2"], "n_jobs": 50, "seeds": [1, 2]}}
+
+    def test_only_given_values_override(self):
+        doc = override_campaign(self.DOC, logs=None, n_jobs=80)
+        assert doc["campaign"] == {"logs": ["KTH-SP2"], "n_jobs": 80, "seeds": [1, 2]}
+        assert self.DOC["campaign"]["n_jobs"] == 50  # the input is not mutated
+
+    def test_replicas_replace_pinned_seeds(self):
+        doc = override_campaign(
+            {**self.DOC, "grid": [{"predictor": "requested", "scheduler": "easy"}]},
+            replicas=3,
+        )
+        assert "seeds" not in doc["campaign"]
+        assert len(expand_spec_obj(doc)) == 3
+
+
 class TestCheckedInSpecs:
     """The repository's experiment files must stay valid and exact."""
 
-    def test_paper_spec_expands_to_the_128_triples(self):
-        from repro.core.triples import campaign_triples, reference_triples
+    @staticmethod
+    def golden() -> dict:
+        """The paper matrix pinned from the old positional triple path."""
+        with open("scripts/paper_golden.json", encoding="utf-8") as fh:
+            return json.load(fh)
 
+    def test_paper_spec_expands_to_the_128_triples(self):
         name, cells = validate_spec_file("experiments/paper.toml")
         keys = triple_keys_of(cells)
-        campaign_keys = [t.key for t in campaign_triples()]
-        reference_keys = [t.key for t in reference_triples()]
-        assert keys[: len(campaign_keys)] == campaign_keys  # exact, in order
-        assert keys[len(campaign_keys):] == reference_keys
+        assert keys == self.golden()["labels"]  # exact, in order
+        assert len(keys) == 128 + 2
+        assert all(k.startswith("clairvoyant|") for k in keys[128:])
         # full matrix: 130 triples x 6 logs x 3 replicas
         assert len(cells) == 130 * 6 * 3
 
     def test_paper_spec_cells_equal_legacy_campaign_cells(self):
-        from repro.core import CampaignConfig
-        from repro.core.triples import campaign_triples, reference_triples
-
         cells = expand_spec_file("experiments/paper.toml")
-        config = CampaignConfig()
-        legacy = config.cell_specs(campaign_triples() + reference_triples())
-        assert {c.digest() for c in cells} == {c.digest() for c in legacy}
+        assert [c.digest() for c in cells] == self.golden()["digests"]
 
     def test_smallbox_spec_is_valid(self):
         name, cells = validate_spec_file("experiments/smallbox.toml")

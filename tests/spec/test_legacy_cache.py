@@ -1,41 +1,31 @@
 """Legacy (v4 tuple-keyed) cache rows next to spec-keyed rows.
 
-The CACHE_VERSION 5 bump re-keyed every cell by spec digest; these tests
-pin the compatibility story: pre-redesign cache files stay readable, a
-warm campaign over one runs zero simulations, and the merge tool can
-re-key them explicitly.
+The CACHE_VERSION 5 bump re-keyed every cell by spec digest.  v4 rows
+are no longer served or upgraded: a cache file holding them still loads,
+but they never answer a current token, and merging them is refused.
 """
 
 import json
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign
-from repro.core.campaign import (
-    CACHE_VERSION,
-    LEGACY_CACHE_VERSION,
-    ResultCache,
-    cell_token,
-    trace_digest,
-    upgrade_legacy_token,
-)
-from repro.core.triples import HeuristicTriple
+from repro.core.campaign import CACHE_VERSION, ResultCache, cell_token, trace_digest
 from repro.sim.engine import ENGINE_VERSION
+from repro.spec import CellSpec, WorkloadSpec
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=60, replicas=1)
-TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-]
+N_JOBS = 60
+SEED = 7
+SPEC = CellSpec.make(
+    WorkloadSpec.make("KTH-SP2", n_jobs=N_JOBS, seed=SEED), "requested", None, "easy"
+)
 
 
-def legacy_token(config, log, triple_key, seed, engine=ENGINE_VERSION):
+def legacy_token(log="KTH-SP2", triple_key="requested|none|easy", seed=SEED):
     """A token exactly as CACHE_VERSION 4 wrote it."""
-    digest = trace_digest(log, config.n_jobs, seed)
+    digest = trace_digest(log, N_JOBS, seed)
     return (
-        f"v{LEGACY_CACHE_VERSION}|e{engine}|{log}@{digest}|{triple_key}"
-        f"|n={config.n_jobs}|s={seed}"
-        f"|mp={config.min_prediction:g}|tau={config.tau:g}"
+        f"v4|e{ENGINE_VERSION}|{log}@{digest}|{triple_key}"
+        f"|n={N_JOBS}|s={seed}|mp=60|tau=10"
     )
 
 
@@ -45,114 +35,18 @@ def write_legacy_cache(path, rows):
             fh.write(json.dumps({"token": token, "value": value}) + "\n")
 
 
-class TestUpgradeLegacyToken:
-    def test_equivalent_to_current_token(self):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        old = legacy_token(CONFIG, "KTH-SP2", "ave2|incremental|easy-sjbf", seed)
-        new = CONFIG.cache_token("KTH-SP2", "ave2|incremental|easy-sjbf", seed)
-        assert upgrade_legacy_token(old) == new
-        assert new.startswith(f"v{CACHE_VERSION}|e{ENGINE_VERSION}|")
-
-    def test_reuses_embedded_trace_digest(self):
-        # the embedded digest is trusted verbatim -- a made-up one must
-        # survive into the upgraded token (that is what makes upgrading
-        # free) rather than being recomputed
-        old = (
-            f"v{LEGACY_CACHE_VERSION}|e{ENGINE_VERSION}|KTH-SP2@deadbeef00000000"
-            f"|requested|none|easy|n=60|s=9|mp=60|tau=10"
-        )
-        upgraded = upgrade_legacy_token(old)
-        assert upgraded is not None
-        assert "KTH-SP2@deadbeef00000000" in upgraded
-
-    def test_other_engine_version_refused(self):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        old = legacy_token(
-            CONFIG, "KTH-SP2", "requested|none|easy", seed, engine=ENGINE_VERSION + 1
-        )
-        assert upgrade_legacy_token(old) is None
-
-    @pytest.mark.parametrize(
-        "token",
-        [
-            "v3|e2|KTH-SP2@aa|requested|none|easy|n=60|s=1|mp=60|tau=10",
-            "v4|e2|KTH-SP2@aa|requested|none|n=60|s=1|mp=60|tau=10",  # 9 parts
-            "v4|e2|KTH-SP2aa|requested|none|easy|n=60|s=1|mp=60|tau=10",  # no @
-            "v4|e2|KTH-SP2@aa|requested|none|easy|n=x|s=1|mp=60|tau=10",
-            "v4|e2|KTH-SP2@aa|galactic|none|easy|n=60|s=1|mp=60|tau=10",
-            "not a token at all",
-        ],
-    )
-    def test_malformed_or_foreign_refused(self, token):
-        assert upgrade_legacy_token(token) is None
-
-
 class TestResultCacheLegacyRows:
-    def test_legacy_rows_served_under_new_identity(self, tmp_path):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path,
-            [(legacy_token(CONFIG, "KTH-SP2", t.key, seed), 10.0 + i)
-             for i, t in enumerate(TRIPLES)],
-        )
-        cache = ResultCache(str(path))
-        assert cache.legacy_rows == len(TRIPLES)
-        for i, triple in enumerate(TRIPLES):
-            assert cache.get(CONFIG.cache_token("KTH-SP2", triple.key, seed)) == 10.0 + i
-
     def test_current_row_wins_over_legacy_row(self, tmp_path):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
-        new_token = CONFIG.cache_token("KTH-SP2", key, seed)
+        new_token = cell_token(SPEC)
         path = tmp_path / "mixed.jsonl"
-        write_legacy_cache(
-            path,
-            [
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-                (new_token, 2.0),
-            ],
-        )
+        write_legacy_cache(path, [(legacy_token(), 1.0), (new_token, 2.0)])
         assert ResultCache(str(path)).get(new_token) == 2.0
         # ...in either file order
-        write_legacy_cache(
-            path,
-            [
-                (new_token, 2.0),
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-            ],
-        )
+        write_legacy_cache(path, [(new_token, 2.0), (legacy_token(), 1.0)])
         assert ResultCache(str(path)).get(new_token) == 2.0
-
-    def test_warm_campaign_from_legacy_cache_runs_zero_sims(self, tmp_path, monkeypatch):
-        """The acceptance scenario: a cache written before the redesign
-        still warm-loads the redesigned campaign end to end."""
-        path = tmp_path / "legacy.jsonl"
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        # first run the real campaign to learn the true scores...
-        reference = run_campaign(CONFIG, triples=TRIPLES, workers=1)
-        # ...then rewrite them as v4 rows only
-        write_legacy_cache(
-            path,
-            [
-                (
-                    legacy_token(CONFIG, "KTH-SP2", t.key, seed),
-                    reference.scores["KTH-SP2"][t.key][0],
-                )
-                for t in TRIPLES
-            ],
-        )
-
-        def boom(_spec, with_telemetry=False):
-            raise AssertionError("a warm legacy cache must not simulate")
-
-        import repro.core.run as run_mod
-
-        monkeypatch.setattr(run_mod, "run_cell_report", boom)
-        result = run_campaign(
-            CONFIG, cache_path=str(path), triples=TRIPLES, workers=1
-        )
-        assert result.scores == reference.scores
+        # and a v4 row alone never answers for the current cell
+        write_legacy_cache(path, [(legacy_token(), 1.0)])
+        assert ResultCache(str(path)).get(new_token) is None
 
 
 class TestMergeUpgradeLegacy:
@@ -160,66 +54,19 @@ class TestMergeUpgradeLegacy:
         from repro.dist import merge_caches
         from repro.dist.merge import MergeVersionError
 
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
         path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path, [(legacy_token(CONFIG, "KTH-SP2", TRIPLES[0].key, seed), 1.0)]
-        )
+        write_legacy_cache(path, [(legacy_token(), 1.0)])
         with pytest.raises(MergeVersionError):
             merge_caches([str(path)])
-
-    def test_merge_upgrade_legacy_rekeys(self, tmp_path):
-        from repro.dist import merge_caches
-
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
-        path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path,
-            [
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-                # un-upgradable: foreign engine version
-                (
-                    legacy_token(
-                        CONFIG, "KTH-SP2", key, seed + 1, engine=ENGINE_VERSION + 1
-                    ),
-                    2.0,
-                ),
-            ],
-        )
-        cells, report = merge_caches([str(path)], upgrade_legacy=True)
-        assert report.legacy_upgraded == 1
-        assert report.legacy_skipped == 1
-        assert cells == {CONFIG.cache_token("KTH-SP2", key, seed): 1.0}
-
-    def test_upgraded_rows_dedup_against_current_rows(self, tmp_path):
-        from repro.dist import merge_caches
-
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
-        old = tmp_path / "old.jsonl"
-        new = tmp_path / "new.jsonl"
-        write_legacy_cache(
-            old, [(legacy_token(CONFIG, "KTH-SP2", key, seed), 1.5)]
-        )
-        write_legacy_cache(
-            new, [(CONFIG.cache_token("KTH-SP2", key, seed), 1.5)]
-        )
-        cells, report = merge_caches([str(new), str(old)], upgrade_legacy=True)
-        assert report.duplicates == 1
-        assert len(cells) == 1
 
 
 class TestCellTokenProperties:
     def test_token_embeds_spec_digest_and_versions(self):
-        spec = CONFIG.cell_spec("KTH-SP2", TRIPLES[0], 7)
-        token = cell_token(spec)
+        token = cell_token(SPEC)
         assert token.startswith(f"v{CACHE_VERSION}|e{ENGINE_VERSION}|KTH-SP2@")
-        assert token.endswith(f"|spec:{spec.digest()}")
+        assert token.endswith(f"|spec:{SPEC.digest()}")
 
     def test_non_plain_workload_digest_differs(self):
-        from repro.spec import CellSpec
-
         plain = CellSpec.make(
             workload={"log": "KTH-SP2", "n_jobs": 60, "seed": 7},
             predictor="requested", corrector=None, scheduler="easy",

@@ -1,22 +1,31 @@
-"""The declarative campaign path end to end: run_cells == legacy path,
-under the local pool and the fsqueue backend, with shared warm caches."""
+"""The declarative campaign path end to end: spec-file cells == the same
+cells built one by one, under the local pool and the fsqueue backend,
+with shared warm caches."""
 
 import threading
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign, run_cells
-from repro.core.triples import HeuristicTriple
-from repro.spec import expand_spec_obj
+from repro.core import run_cells
+from repro.spec import CellSpec, WorkloadSpec, expand_spec_obj
+from repro.workload import stable_seed
 
 TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-    HeuristicTriple("clairvoyant", None, "easy"),
+    ("requested", None, "easy"),
+    ("requested", None, "easy-sjbf"),
+    ("ave2", "incremental", "easy-sjbf"),
+    ("clairvoyant", None, "easy"),
 ]
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=2)
+#: The same 8 cells as SPEC_DOC, built positionally in replica-major order.
+CELLS = [
+    CellSpec.make(
+        WorkloadSpec.make("KTH-SP2", n_jobs=80, seed=stable_seed("KTH-SP2") + r),
+        *triple,
+    )
+    for r in range(2)
+    for triple in TRIPLES
+]
 
 SPEC_DOC = {
     "campaign": {
@@ -48,24 +57,25 @@ SPEC_DOC = {
 @pytest.fixture(scope="module")
 def legacy_result(tmp_path_factory):
     cache = tmp_path_factory.mktemp("legacy") / "cache.jsonl"
-    return (
-        run_campaign(CONFIG, cache_path=str(cache), workers=2, triples=TRIPLES),
-        cache,
-    )
+    return run_cells(CELLS, cache_path=str(cache), workers=2), cache
+
+
+def _means(result):
+    return {t: result.mean("KTH-SP2", t) for t in TRIPLES}
 
 
 class TestSpecCampaignEquivalence:
     def test_scores_identical_to_legacy_path(self, legacy_result, tmp_path):
         reference, _ = legacy_result
         cells = expand_spec_obj(SPEC_DOC)
+        assert sorted(c.digest() for c in cells) == sorted(reference.scores)
         result = run_cells(cells, cache_path=str(tmp_path / "c.jsonl"), workers=2)
-        campaign = result.to_campaign_result()
-        assert campaign is not None
-        assert campaign.scores == reference.scores
+        assert result.scores == reference.scores
+        assert _means(result) == _means(reference)
 
     def test_shares_cache_with_legacy_path(self, legacy_result, monkeypatch):
-        """Spec-file cells hit the very same cache rows the legacy
-        campaign wrote -- zero simulations on a warm legacy cache."""
+        """Spec-file cells hit the very same cache rows the positionally
+        built cells wrote -- zero simulations on a warm cache."""
         import repro.core.run as run_mod
 
         _, cache = legacy_result
@@ -100,9 +110,7 @@ class TestSpecCampaignEquivalence:
             cells, cache_path=str(tmp_path / "c.jsonl"), backend=broker
         )
         thread.join(timeout=60)
-        campaign = result.to_campaign_result()
-        assert campaign is not None
-        assert campaign.scores == reference.scores
+        assert result.scores == reference.scores
         assert results["stats"].shards > 0
 
     def test_non_legacy_grid_gets_leaderboard_not_tables(self):
@@ -123,7 +131,10 @@ class TestSpecCampaignEquivalence:
         }
         cells = expand_spec_obj(doc)
         result = run_cells(cells, workers=1)
-        assert result.to_campaign_result() is None  # tuned eta: no triple key
+        # no EASY / clairvoyant references: no paper table to print
+        with pytest.raises(KeyError):
+            result.table6_rows()
+        assert [cell.triple_key for cell in cells][1] is None  # tuned eta
         board = result.leaderboard()
         assert len(board) == 2
         assert all(row.mean_score >= 1.0 for row in board)

@@ -5,6 +5,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.workload import load_swf
 
+from tests.helpers import triple_cell
+
 
 class TestParser:
     def test_requires_command(self):
@@ -247,16 +249,10 @@ class TestDistCommands:
     def test_worker_drains_prepared_queue(self, tmp_path, capsys):
         """A worker pointed at a pre-enqueued queue completes the shard
         and exits on the idle budget."""
-        from repro.core import CampaignConfig
         from repro.dist import FsQueue, plan_shards
 
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=60, replicas=1)
         queue = FsQueue.create(str(tmp_path / "q"), lease_ttl=60.0)
-        cells = [
-            config.cell_spec(
-                "KTH-SP2", "requested|none|easy", config.seeds_for("KTH-SP2")[0]
-            )
-        ]
+        cells = [triple_cell("KTH-SP2", "requested|none|easy", n_jobs=60)]
         for shard in plan_shards(cells, n_shards=1):
             queue.enqueue(shard.manifest())
         code = main([
@@ -281,6 +277,39 @@ class TestDistCommands:
         assert main(["merge", "--out", str(out), str(src)]) == 0
         assert "1 unique cells" in capsys.readouterr().out
         assert out.exists()
+
+    def test_merge_upgrade_legacy_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main([
+                "merge", "--upgrade-legacy", "--out", str(tmp_path / "m.jsonl"),
+                str(tmp_path),
+            ])
+
+
+class TestCampaignDefaults:
+    def test_flags_override_the_paper_spec_and_share_its_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro campaign`` runs experiments/paper.toml by default; the
+        flags only override its [campaign] header, so an explicit --spec
+        of the same matrix is served from the same cache rows."""
+        cache = tmp_path / "cache.jsonl"
+        args = ["--logs", "KTH-SP2", "--n-jobs", "60", "--replicas", "1",
+                "--cache", str(cache), "--workers", "2"]
+        assert main(["campaign", *args]) == 0
+        out = capsys.readouterr().out
+        assert "(paper-sc15): 130 cell(s)" in out
+        assert "Campaign overview (paper Table 6 layout)" in out
+        rows = cache.read_text()
+
+        import repro.core.run as run_mod
+
+        def boom(_spec, with_telemetry=False):
+            raise AssertionError("a warm campaign must not simulate")
+
+        monkeypatch.setattr(run_mod, "run_cell_report", boom)
+        assert main(["campaign", "--spec", "experiments/paper.toml", *args]) == 0
+        assert cache.read_text() == rows
 
 
 class TestTableCommands:

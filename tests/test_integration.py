@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from repro import (
-    EASY_TRIPLE,
-    EASYPP_TRIPLE,
-    ELOSS_TRIPLE,
-    HeuristicTriple,
+    EASY,
+    EASYPP,
+    ELOSS,
     get_trace,
-    run_triple_on_trace,
+    run_components_on_trace,
     simulate,
 )
 from repro.correct import IncrementalCorrector
@@ -42,7 +41,9 @@ def traces():
 
 
 def mean_avebsld(traces, triple):
-    return float(np.mean([run_triple_on_trace(t, triple).avebsld() for t in traces]))
+    return float(
+        np.mean([run_components_on_trace(t, *triple).avebsld() for t in traces])
+    )
 
 
 class TestPaperShapes:
@@ -57,26 +58,26 @@ class TestPaperShapes:
     def test_clairvoyant_sjbf_is_best_in_class(self, traces):
         """Table 6: 'Clairvoyant EASY-SJBF almost always outperforms its
         competitors' (tolerance absorbs small-trace noise vs EASY++)."""
-        sjbf_clair = HeuristicTriple("clairvoyant", None, "easy-sjbf")
+        sjbf_clair = ("clairvoyant", None, "easy-sjbf")
         for name, replicas in traces.items():
             clair = mean_avebsld(replicas, sjbf_clair)
-            easy = mean_avebsld(replicas, EASY_TRIPLE)
-            easypp = mean_avebsld(replicas, EASYPP_TRIPLE)
+            easy = mean_avebsld(replicas, EASY)
+            easypp = mean_avebsld(replicas, EASYPP)
             assert clair < easy, name
             assert clair < easypp * 1.3, name
 
     def test_eloss_triple_beats_easy(self, traces):
         """The headline: the winning triple reduces AVEbsld vs EASY."""
         for name, replicas in traces.items():
-            eloss = mean_avebsld(replicas, ELOSS_TRIPLE)
-            easy = mean_avebsld(replicas, EASY_TRIPLE)
+            eloss = mean_avebsld(replicas, ELOSS)
+            easy = mean_avebsld(replicas, EASY)
             assert eloss < easy, f"{name}: {eloss} !< {easy}"
 
     def test_corrections_only_fire_for_underpredicting_techniques(self, traces):
         trace = traces["KTH-SP2"][0]
         clair = simulate(trace, EasyScheduler("fcfs"), ClairvoyantPredictor(),
                          IncrementalCorrector())
-        easypp = run_triple_on_trace(trace, EASYPP_TRIPLE)
+        easypp = run_components_on_trace(trace, *EASYPP)
         assert clair.total_corrections() == 0
         assert easypp.total_corrections() > 0
 
@@ -84,7 +85,7 @@ class TestPaperShapes:
         """All six archive logs run the winning triple to completion."""
         for name in LOG_NAMES:
             trace = get_trace(name, n_jobs=250)
-            result = run_triple_on_trace(trace, ELOSS_TRIPLE)
+            result = run_components_on_trace(trace, *ELOSS)
             assert len(result) == 250
             assert result.avebsld() >= 1.0
 
@@ -100,7 +101,7 @@ class TestSchedulePhysics:
             "ave2|doubling|easy",
             "ml:lin-sq-small-area|requested|easy-sjbf",
         ):
-            result = run_triple_on_trace(trace, HeuristicTriple.from_key(key))
+            result = run_components_on_trace(trace, *key.split("|"))
             events = []
             for rec in result:
                 events.append((rec.start_time, rec.processors))
@@ -113,5 +114,5 @@ class TestSchedulePhysics:
 
     def test_no_job_starts_before_submission(self, traces):
         trace = traces["KTH-SP2"][1]
-        result = run_triple_on_trace(trace, ELOSS_TRIPLE)
+        result = run_components_on_trace(trace, *ELOSS)
         assert (result.wait_times >= 0.0).all()

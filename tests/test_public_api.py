@@ -16,38 +16,38 @@ class TestPublicSurface:
 
     def test_readme_quickstart_snippet(self):
         """The README's quickstart must actually work (tiny scale)."""
-        from repro import (
-            E_LOSS,
-            EasyScheduler,
-            IncrementalCorrector,
-            MLPredictor,
-            get_trace,
-            simulate,
-        )
+        from repro import ELOSS, CellSpec, WorkloadSpec, run_spec
 
-        trace = get_trace("KTH-SP2", n_jobs=150)
-        result = simulate(
-            trace,
-            EasyScheduler("sjbf"),
-            MLPredictor(E_LOSS),
-            IncrementalCorrector(),
-        )
-        assert result.avebsld() >= 1.0
+        cell = CellSpec.make(WorkloadSpec.make("KTH-SP2", n_jobs=150), *ELOSS)
+        assert run_spec(cell).avebsld >= 1.0
 
     def test_module_docstring_campaign_snippet(self):
-        from repro import CampaignConfig, run_campaign
+        """The package docstring's campaign tour (tiny scale)."""
+        from repro import EASY, leave_one_out, run_cells
+        from repro.spec import expand_spec_obj, load_spec_file, override_campaign
 
-        campaign = run_campaign(
-            CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=1),
-            workers=8,
+        doc = override_campaign(
+            load_spec_file("experiments/paper.toml"),
+            logs=["KTH-SP2", "CTC-SP2"], n_jobs=80, replicas=1,
         )
+        campaign = run_cells(expand_spec_obj(doc), workers=2)
         rows = campaign.table1_rows()
-        assert len(rows) == 1
+        assert len(rows) == 2
+        assert len(leave_one_out(campaign)) == 2
+        assert campaign.mean("KTH-SP2", EASY) == rows[0][1]
+        assert campaign.mean(
+            "KTH-SP2", ("ave2", "incremental", "easy-sjbf")
+        ) == campaign.table6_rows()[0][4]
 
     def test_registries_cover_campaign_triples(self):
-        """Every campaign triple must be buildable from the registries."""
-        from repro import campaign_triples
+        """Every paper triple must be buildable from the registries."""
+        from repro import expand_spec_file
 
-        for triple in campaign_triples():
-            scheduler, predictor, corrector = triple.build()
+        seen = set()
+        for cell in expand_spec_file("experiments/paper.toml"):
+            if cell.components in seen:
+                continue
+            seen.add(cell.components)
+            scheduler, predictor, corrector = cell.build_components()
             assert scheduler is not None and predictor is not None
+        assert len(seen) == 130
