@@ -14,7 +14,7 @@
 
 Exits non-zero on any failure.  Usage::
 
-    python scripts/check_specs.py [--experiments DIR] [--golden FILE]
+    python scripts/check_specs.py [--experiments DIR]
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def _entries(stdout: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiments", default="experiments")
-    parser.add_argument("--golden", default=GOLDEN)
     args = parser.parse_args(argv)
 
     spec_files = sorted(glob.glob(os.path.join(args.experiments, "*.toml")))
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
                 line.rsplit("[", 1)[-1].rstrip("]")
                 for line in _entries(proc_cells.stdout)
             ]
-            with open(args.golden, encoding="utf-8") as fh:
+            with open(GOLDEN, encoding="utf-8") as fh:
                 golden = json.load(fh)
             problems = compare_golden(golden, keys, digests)
             for problem in problems:

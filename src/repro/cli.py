@@ -48,15 +48,10 @@ from .core import (
     table8_rows,
 )
 from .core.reporting import format_leaderboard, format_percent, format_table
+from .spec import PAPER_SPEC
 from .workload import LOG_NAMES, get_trace, save_swf, stable_seed, table4_rows
 
 __all__ = ["main", "build_parser"]
-
-#: The paper's matrix, the default cells of ``repro campaign``/``table``:
-#: from the working directory, else from this source checkout.
-_PAPER_SPEC = os.path.join("experiments", "paper.toml")
-if not os.path.exists(_PAPER_SPEC):
-    _PAPER_SPEC = os.path.join(os.path.dirname(__file__), "..", "..", _PAPER_SPEC)
 
 #: ``repro sim`` names the paper's reference triples.
 _DESCRIPTIONS = {
@@ -122,9 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--spec",
-        default=_PAPER_SPEC,
+        default=PAPER_SPEC,
         help="run the cells expanded from this experiment spec file "
-        "(TOML/JSON; default: experiments/paper.toml)",
+        "(TOML/JSON; default: the paper's matrix, experiments/paper.toml, "
+        "which ships with the package)",
     )
     p_camp.add_argument("--logs", nargs="*", default=None, help="override the spec's logs")
     p_camp.add_argument("--n-jobs", type=int, default=None, help="override its n_jobs")
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--replicas", type=int, default=None, help="override its replicas"
     )
-    p_table.set_defaults(spec=_PAPER_SPEC)
+    p_table.set_defaults(spec=PAPER_SPEC)
     p_table.add_argument("--cache", default=None)
     p_table.add_argument("--workers", type=int, default=None)
     return parser

@@ -35,7 +35,7 @@ import json
 import os
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import IO, TYPE_CHECKING, Any, NamedTuple
 
@@ -320,11 +320,22 @@ class SpecCampaignResult:
     # -- the paper's aggregations ---------------------------------------------
     @cached_property
     def _by_log(self) -> dict[str, dict[Components, list[float]]]:
-        """log -> component triple -> its cells' scores, in cell order."""
+        """log -> component triple -> its cells' scores, in cell order.
+
+        Raises ValueError when one triple's cells on a log differ in
+        anything but their seed: the paper aggregations pool replicas
+        only, never machine sizes, filters or knob values."""
         index: dict[str, dict[Components, list[float]]] = {}
+        shapes: dict[tuple[str, Components], CellSpec] = {}
         for cell, score in self.rows():
-            per_log = index.setdefault(cell.workload.log, {})
-            per_log.setdefault(cell.components, []).append(score)
+            log = cell.workload.log
+            seedless = replace(cell, workload=replace(cell.workload, seed=None))
+            if shapes.setdefault((log, cell.components), seedless) != seedless:
+                raise ValueError(
+                    f"{cell.label} on {log}: cells differ in more than their "
+                    "seed, so the paper aggregations cannot pool them"
+                )
+            index.setdefault(log, {}).setdefault(cell.components, []).append(score)
         return index
 
     @property
@@ -343,7 +354,7 @@ class SpecCampaignResult:
 
     def mean(self, log: str, components: Sequence[Any]) -> float:
         """Mean AVEbsld of one triple (any registry spelling) over its
-        cells on ``log`` -- the replicas, and any knob axes, pooled."""
+        cells on ``log`` (its replicas)."""
         return float(np.mean(self._by_log[log][Components.make(*components)]))
 
     def learning_range(self, log: str, scheduler: Any) -> tuple[float, float]:
@@ -478,6 +489,7 @@ def _execute_cells(
             "total": len(cells),
             "cached": len(cells) - len(pending),
             "pending": len(pending),
+            "logs": list(dict.fromkeys(spec.workload.log for spec in cells)),
         }
     )
     if pending:

@@ -19,6 +19,7 @@ from .components import (
     scheduler_registry,
 )
 from .grid import (
+    PAPER_SPEC,
     SpecFileError,
     expand_spec_file,
     expand_spec_obj,
@@ -41,6 +42,7 @@ __all__ = [
     "scheduler_registry",
     "filter_registry",
     "registry_for",
+    "PAPER_SPEC",
     "SpecFileError",
     "load_spec_file",
     "override_campaign",

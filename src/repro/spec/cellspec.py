@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .components import (
@@ -307,9 +307,3 @@ class CellSpec:
     def label(self) -> str:
         """See :attr:`Components.label`."""
         return self.components.label
-
-    def with_workload(self, **changes: Any) -> CellSpec:
-        """A copy with workload fields replaced (re-normalized)."""
-        return replace(
-            self, workload=WorkloadSpec.from_obj({**self.workload.to_obj(), **changes})
-        )

@@ -54,6 +54,7 @@ from ._toml import TomlError, load_toml_text
 from .cellspec import CellSpec, WorkloadSpec
 
 __all__ = [
+    "PAPER_SPEC",
     "SpecFileError",
     "load_spec_file",
     "override_campaign",
@@ -62,6 +63,10 @@ __all__ = [
     "validate_spec_file",
     "triple_keys_of",
 ]
+
+#: The paper's matrix, shipped with the package (``experiments/paper.toml``
+#: in a source checkout links to it).
+PAPER_SPEC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "paper.toml")
 
 _CAMPAIGN_KEYS = {
     "name", "description", "logs", "n_jobs", "replicas", "seeds",

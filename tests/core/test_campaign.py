@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import EASY, EASYPP, run_cells, run_spec
-from repro.core.campaign import ResultCache, cell_token
+from repro.core.campaign import ResultCache, SpecCampaignResult, cell_token
 from repro.spec import CellSpec, WorkloadSpec
 
 from tests.helpers import paper_cells
@@ -128,6 +128,39 @@ class TestCampaign:
         assert f"e{ENGINE_VERSION}" in token
         # different seeds draw different traces, so the digests differ too
         assert trace_digest("KTH-SP2", 100, 7) != trace_digest("KTH-SP2", 100, 8)
+
+
+class TestPoolingReplicasOnly:
+    """The paper aggregations average a triple's replicas on a log, never
+    cells that also differ in machine size, filters or knob values."""
+
+    @staticmethod
+    def _result(processors=(None,), taus=(10.0,)) -> SpecCampaignResult:
+        cells = [
+            CellSpec.make(
+                WorkloadSpec.make("KTH-SP2", n_jobs=60, seed=seed, processors=procs),
+                *EASY,
+                tau=tau,
+            )
+            for procs in processors
+            for tau in taus
+            for seed in (1, 2)
+        ]
+        scores = {cell.digest(): float(i + 1) for i, cell in enumerate(cells)}
+        return SpecCampaignResult(cells=cells, scores=scores)
+
+    def test_replicas_are_pooled(self):
+        assert self._result().mean("KTH-SP2", EASY) == 1.5
+
+    @pytest.mark.parametrize("axis", [{"processors": (64, 100)}, {"taus": (5.0, 10.0)}])
+    def test_a_second_axis_is_refused(self, axis):
+        result = self._result(**axis)
+        with pytest.raises(ValueError, match="more than their seed"):
+            result.mean("KTH-SP2", EASY)
+        with pytest.raises(ValueError):
+            result.table1_rows()
+        # the generic report still covers the grid
+        assert [row.n_cells for row in result.leaderboard()] == [4]
 
 
 class TestDiskCache:

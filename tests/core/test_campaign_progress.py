@@ -131,6 +131,20 @@ class TestProgressStream:
         assert "8/8" in text
         assert "finished in" in text
 
+    def test_format_progress_keeps_campaign_log_order(self, tmp_path):
+        cells = expand_spec_obj(
+            {
+                "campaign": {"logs": ["SDSC-SP2", "CTC-SP2"], "n_jobs": 30, "replicas": 1},
+                "grid": [{"predictor": "requested", "scheduler": "easy"}],
+            }
+        )
+        progress = tmp_path / "progress.jsonl"
+        run_cells(cells, workers=1, progress_path=str(progress))
+        events = load_progress(str(progress))
+        assert events[0]["logs"] == ["SDSC-SP2", "CTC-SP2"]
+        lines = format_progress(events).splitlines()
+        assert lines.index("  SDSC-SP2: 1 cells") < lines.index("  CTC-SP2: 1 cells")
+
     def test_format_progress_live_snapshot(self, warm_campaign):
         """A truncated stream (live campaign) still renders, with an ETA."""
         _, _, progress = warm_campaign

@@ -3,12 +3,11 @@
 
 import copy
 import json
-import subprocess
-import sys
 
 import pytest
 
 from repro.spec import expand_spec_file, triple_keys_of
+from scripts import check_specs
 from scripts.check_specs import GOLDEN, compare_golden
 
 
@@ -52,13 +51,9 @@ def test_one_entry_tamper_fails(golden, expansion, field, how):
     assert any(field in problem for problem in problems)
 
 
-def test_gate_exits_nonzero_on_a_tampered_list(golden, tmp_path):
+def test_gate_exits_nonzero_on_a_tampered_list(golden, tmp_path, monkeypatch, capsys):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(tampered(golden, "digests", "reorder")))
-    proc = subprocess.run(
-        [sys.executable, "scripts/check_specs.py", "--golden", str(path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 1
-    assert "digests differ from the golden list at index 3" in proc.stderr
+    monkeypatch.setattr(check_specs, "GOLDEN", str(path))
+    assert check_specs.main([]) == 1
+    assert "digests differ from the golden list at index 3" in capsys.readouterr().err

@@ -1,8 +1,14 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.spec import PAPER_SPEC
 from repro.workload import load_swf
 
 from tests.helpers import triple_cell
@@ -312,10 +318,47 @@ class TestCampaignDefaults:
         assert cache.read_text() == rows
 
 
+    def test_paper_tables_refuse_a_mixed_grid(self, tmp_path, capsys):
+        """Every paper reference is present, but each at two tau values:
+        Table 6 would pool the thresholds, so the leaderboard is printed."""
+        spec = tmp_path / "tau.toml"
+        spec.write_text(
+            '[campaign]\nlogs = ["KTH-SP2"]\nn_jobs = 40\nreplicas = 1\n'
+            "tau = [5.0, 10.0]\n"
+            '[[grid]]\npredictor = ["requested", "clairvoyant"]\n'
+            'corrector = ["none"]\nscheduler = ["easy", "easy-sjbf"]\n'
+            '[[grid]]\npredictor = ["ave2", "ml:sq-lin-large-area"]\n'
+            'corrector = ["incremental"]\nscheduler = ["easy", "easy-sjbf"]\n'
+        )
+        assert main(["campaign", "--spec", str(spec), "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "Scenario leaderboard" in out
+        assert "Table 6" not in out
+
+
 class TestTableCommands:
     def test_table4(self, capsys):
         assert main(["table", "--which", "4"]) == 0
         assert "Table 4" in capsys.readouterr().out
+
+    def test_table1_runs_outside_the_checkout(self, tmp_path):
+        """The paper's matrix ships inside the package, and an unrelated
+        ``experiments/paper.toml`` in the working directory is ignored."""
+        package = os.path.dirname(os.path.abspath(repro.__file__))
+        assert os.path.dirname(PAPER_SPEC).startswith(package)
+        (tmp_path / "experiments").mkdir()
+        (tmp_path / "experiments" / "paper.toml").write_text("not a spec = [\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "table", "--which", "1",
+             "--n-jobs", "60", "--replicas", "1", "--workers", "2"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "EASY-Clairvoyant" in proc.stdout
+        assert "Metacentrum" in proc.stdout
 
     def test_table1_small(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
