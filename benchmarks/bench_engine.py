@@ -257,13 +257,13 @@ def run_batch_bench(quick: bool) -> dict:
     Runs one shared-trace group of cells twice -- once with the bundle
     cache cleared before **every** cell (the pre-batching regime: trace
     materialisation, digest, and static feature matrix paid per cell)
-    and once through :class:`repro.core.BatchRunner` over a single warm
-    bundle.  Scores must match exactly; the per-cell wall-clock
+    and once through :func:`repro.core.run_batch_report` over a single
+    warm bundle.  Scores must match exactly; the per-cell wall-clock
     difference is the fixed cost the batched campaign path amortises
     across the group.  Minimum over a few repetitions per side so
     background noise cancels.
     """
-    from repro.core import BatchRunner, clear_bundle_cache, run_cell
+    from repro.core import clear_bundle_cache, run_batch_report, run_spec
     from repro.spec import CellSpec, WorkloadSpec
 
     log = "KTH-SP2"
@@ -291,12 +291,12 @@ def run_batch_bench(quick: bool) -> dict:
         t0 = time.perf_counter()
         for spec in cells:
             clear_bundle_cache()  # every cell pays the full fixed cost
-            sequential_scores.append(run_cell(spec))
+            sequential_scores.append(run_spec(spec).avebsld)
         sequential = min(sequential, time.perf_counter() - t0)
 
         clear_bundle_cache()  # one cold build, then the group shares it
         t0 = time.perf_counter()
-        results = BatchRunner().run(cells)
+        results = run_batch_report(cells)
         batched = min(batched, time.perf_counter() - t0)
         batched_scores = [score for _spec, score, _report in results]
         identical = identical and batched_scores == sequential_scores

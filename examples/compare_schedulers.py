@@ -12,7 +12,7 @@ Run: ``python examples/compare_schedulers.py``.  Set
 
 import os
 
-from repro import get_trace, simulate
+from repro import SimSession, get_trace, simulate
 from repro.predict import ClairvoyantPredictor, RequestedTimePredictor
 from repro.sched import make_scheduler
 from repro.workload import LOG_NAMES
@@ -30,16 +30,18 @@ def main() -> None:
     for log in LOG_NAMES:
         trace = get_trace(log, n_jobs=N_JOBS)
         for scheduler_name in SCHEDULERS:
-            from repro.sim import Simulator
-
-            sim = Simulator(
-                trace, make_scheduler(scheduler_name), RequestedTimePredictor()
+            # a session instead of simulate(): the run's counters (the
+            # longest queue seen) live on it
+            session = SimSession(
+                trace.processors, make_scheduler(scheduler_name), RequestedTimePredictor()
             )
-            result = sim.run()
+            session.feed(trace)
+            session.drain()
+            result = session.result()
             print(
                 f"{log:12s} {scheduler_name:14s} {'requested':12s} "
                 f"{result.avebsld():9.1f} {result.utilization():6.2f} "
-                f"{sim.stats.max_queue_length:10d}"
+                f"{session.stats.max_queue_length:10d}"
             )
         # clairvoyant EASY-SJBF as the non-achievable reference
         result = simulate(

@@ -91,7 +91,6 @@ from .sim import (
     Machine,
     SimSession,
     SimulationResult,
-    Simulator,
     simulate,
 )
 from .spec import (
@@ -166,7 +165,6 @@ __all__ = [
     "make_scheduler",
     "Machine",
     "SimulationResult",
-    "Simulator",
     "simulate",
     "SimSession",
     "EstimatedStart",

@@ -1,12 +1,13 @@
 """Single-simulation entry points used by the campaign runner.
 
-The primitive is now spec-shaped: :func:`run_spec` (and its score-only
-form :func:`run_cell`) takes one :class:`repro.spec.CellSpec` -- the
-declarative description that also keys the cache and identifies cells on
-the distributed queue -- so every execution path (local pool, fsqueue
-worker, CLI one-offs) consumes the same object it is keyed by.
-:func:`run_components_on_trace` runs the same component stack on a
-pre-built trace.
+The cell-level path is spec-shaped: :func:`run_spec` (scored) and
+:func:`run_spec_result` (the full per-job result) take one
+:class:`repro.spec.CellSpec` -- the declarative description that also
+keys the cache and identifies cells on the distributed queue -- so every
+execution path (local pool, fsqueue worker, CLI one-offs) consumes the
+same object it is keyed by.  Both run the cell through one private
+:func:`_run`.  :func:`run_components_on_trace` runs the same component
+stack on a pre-built trace through :func:`repro.sim.simulate`.
 
 Kept as module-level functions with picklable signatures so
 :class:`concurrent.futures.ProcessPoolExecutor` can dispatch them.
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from ..metrics.slowdown import average_bounded_slowdown
-from ..obs.telemetry import Telemetry
+from ..obs.telemetry import NOOP, Telemetry
+from ..sim.engine import simulate
 from ..sim.results import SimulationResult
 from ..sim.session import SimSession
-from ..spec import CellSpec, WorkloadSpec, filter_registry
+from ..spec import CellSpec, Components, WorkloadSpec, filter_registry
 from ..workload.archive import get_trace
 from ..workload.trace import Trace
 from .batch import TraceBundle, get_bundle
@@ -31,7 +33,6 @@ __all__ = [
     "build_workload",
     "run_spec",
     "run_spec_result",
-    "run_cell",
     "run_cell_report",
     "run_components_on_trace",
 ]
@@ -42,7 +43,8 @@ class RunOutcome:
     """Small, picklable summary of one simulation."""
 
     log: str
-    triple_key: str
+    #: the cell's :attr:`~repro.spec.CellSpec.label`.
+    label: str
     seed: int
     avebsld: float
     utilization: float
@@ -91,15 +93,19 @@ def _bind_static(predictor: object, bundle: TraceBundle) -> None:
         binder(bundle.static_rows())
 
 
-def _cell_session(
-    spec: CellSpec, telemetry: Telemetry | None = None
-) -> tuple[SimSession, Trace]:
-    """A fresh, unfed session for one cell, plus the trace to feed it."""
+def _run(spec: CellSpec, telemetry: Telemetry = NOOP) -> tuple[SimSession, SimulationResult]:
+    """Replay one cell: the drained session and its result.
+
+    ``telemetry`` receives the engine/predictor counters of the run plus
+    the cell's wall/build time split; it only observes, so the schedule
+    never depends on it.
+    """
+    t0 = perf_counter()
     # traces come from the shared per-process bundle cache: same-trace
     # cells of a batched campaign pay the materialisation once
     bundle = get_bundle(spec.workload)
     trace = bundle.trace
-    scheduler, predictor, corrector = spec.build_components()
+    scheduler, predictor, corrector = spec.components.build()
     _bind_static(predictor, bundle)
     session = SimSession(
         trace.processors,
@@ -110,38 +116,24 @@ def _cell_session(
         trace_name=trace.name,
         telemetry=telemetry,
     )
-    return session, trace
+    telemetry.inc("engine.time.build.seconds", perf_counter() - t0)
+    with telemetry.span(
+        "engine.cell", log=spec.workload.log, label=spec.label, seed=spec.workload.seed
+    ):
+        session.feed(trace)
+        session.drain()
+    telemetry.inc("engine.cells")
+    telemetry.inc("engine.time.wall.seconds", perf_counter() - t0)
+    return session, session.result()
 
 
 def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
-    """Run one fully-specified cell.  Deterministic in the spec.
-
-    ``telemetry`` (optional) receives the engine/predictor counters of
-    the run plus the cell's wall/build time split; passing one never
-    changes the schedule (instrumentation is observation-only).
-    """
-    tele = telemetry
-    t0 = perf_counter() if tele is not None and tele.enabled else 0.0
-    session, trace = _cell_session(spec, tele)
-    if tele is not None and tele.enabled:
-        tele.inc("engine.time.build.seconds", perf_counter() - t0)
-        with tele.span(
-            "engine.cell",
-            log=spec.workload.log,
-            label=spec.label,
-            seed=spec.workload.seed,
-        ):
-            session.feed(trace)
-            session.drain()
-        tele.inc("engine.cells")
-        tele.inc("engine.time.wall.seconds", perf_counter() - t0)
-    else:
-        session.feed(trace)
-        session.drain()
-    result = session.result()
+    """Run one fully-specified cell and score it.  Deterministic in the
+    spec; ``telemetry`` is observation-only (see :func:`_run`)."""
+    session, result = _run(spec, NOOP if telemetry is None else telemetry)
     return RunOutcome(
         log=spec.workload.log,
-        triple_key=spec.label,
+        label=spec.label,
         seed=spec.workload.seed,
         avebsld=average_bounded_slowdown(result, spec.tau),
         utilization=result.utilization(),
@@ -160,27 +152,13 @@ def run_spec_result(spec: CellSpec) -> SimulationResult:
     starts, predictions, corrections) for plotting, metrics and
     timelines.  Deterministic in the spec.
     """
-    session, trace = _cell_session(spec)
-    session.feed(trace)
-    session.drain()
-    return session.result()
-
-
-def run_cell(spec: CellSpec) -> float:
-    """One campaign cell -> its AVEbsld score.
-
-    The single-cell execution primitive shared by the local process-pool
-    fan-out (:mod:`repro.core.campaign`) and the distributed worker loop
-    (:mod:`repro.dist.worker`).  Module-level and picklable so any
-    executor can dispatch it; deterministic in its argument.
-    """
-    return run_spec(spec).avebsld
+    return _run(spec)[1]
 
 
 def run_cell_report(
     spec: CellSpec, with_telemetry: bool = False
 ) -> tuple[float, dict]:
-    """:func:`run_cell` plus a picklable sidecar report.
+    """A cell's AVEbsld plus a picklable sidecar report.
 
     The report always carries ``seconds`` (cell wall time); with
     ``with_telemetry`` it also carries ``telemetry`` -- the snapshot of
@@ -189,11 +167,11 @@ def run_cell_report(
     executors ship this dict home instead of a live registry because
     worker processes share no memory with the coordinator.
     """
-    tele = Telemetry(component="cell") if with_telemetry else None
+    tele = Telemetry(component="cell") if with_telemetry else NOOP
     t0 = perf_counter()
     outcome = run_spec(spec, telemetry=tele)
     report: dict = {"seconds": perf_counter() - t0}
-    if tele is not None:
+    if tele.enabled:
         report["telemetry"] = tele.snapshot()
     return outcome.avebsld, report
 
@@ -215,21 +193,5 @@ def run_components_on_trace(
     and campaign cells use.  ``corrector=None`` (or ``"none"``) runs
     uncorrected.
     """
-    from ..spec import corrector_registry, predictor_registry, scheduler_registry
-
-    built_corrector = (
-        None
-        if corrector in (None, "none")
-        else corrector_registry().build(corrector_registry().normalize(corrector))
-    )
-    session = SimSession(
-        trace.processors,
-        scheduler_registry().build(scheduler_registry().normalize(scheduler)),
-        predictor_registry().build(predictor_registry().normalize(predictor)),
-        built_corrector,
-        min_prediction=min_prediction,
-        trace_name=trace.name,
-    )
-    session.feed(trace)
-    session.drain()
-    return session.result()
+    components = Components.make(predictor, corrector, scheduler)
+    return simulate(trace, *components.build(), min_prediction=min_prediction)

@@ -98,6 +98,12 @@ class LocalBroker(Broker):
         self.workers = workers
         self.max_batch = DEFAULT_MAX_BATCH if max_batch is None else max_batch
 
+    def _workers(self) -> int:
+        """The configured pool size, or one fewer than the CPUs (at most 16)."""
+        if self.workers is not None:
+            return self.workers
+        return max(1, min((os.cpu_count() or 1) - 1, 16))
+
     def dispatch(
         self,
         cells: Sequence[CellSpec],
@@ -134,10 +140,7 @@ class LocalBroker(Broker):
             on_result(spec, score, seconds)
 
         jobs = list(cells)
-        workers = self.workers
-        if workers is None:
-            cpu = os.cpu_count() or 1
-            workers = max(1, min(cpu - 1, 16))
+        workers = self._workers()
         # never batch so coarsely that the pool has fewer batches than
         # workers: a tiny campaign still spreads over every worker
         cap = max(1, min(self.max_batch, -(-len(jobs) // max(1, workers))))
@@ -168,11 +171,7 @@ class LocalBroker(Broker):
     def map_tasks(self, fn: Callable, payloads: Sequence) -> list:
         """Order-preserving process-pool map (serial for tiny batches)."""
         payloads = list(payloads)
-        workers = self.workers
-        if workers is None:
-            cpu = os.cpu_count() or 1
-            workers = max(1, min(cpu - 1, 16))
-        workers = min(workers, len(payloads)) if payloads else 1
+        workers = min(self._workers(), len(payloads)) if payloads else 1
         if workers <= 1 or len(payloads) <= 2:
             return [fn(payload) for payload in payloads]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,7 @@ Per shard, a worker
    result file of the shard, so a crashed predecessor's partial work is
    kept, not redone);
 3. **streams** the remaining cells through the shared cell runner
-   (:func:`repro.core.run.run_cell`), appending each result to its own
+   (:func:`repro.core.run.run_spec`), appending each result to its own
    per-attempt JSONL cache the moment it finishes;
 4. **renews** its lease after every cell -- if the renewal discovers the
    lease was re-queued (this worker was presumed dead), it abandons the
@@ -140,8 +140,6 @@ def run_worker(
     clean exit -- a SIGKILLed worker leaves no snapshot, which is exactly
     the signal the smoke reconciliation relies on.
     """
-    from ..core.run import run_cell
-
     queue = FsQueue(queue_dir)
     # Workers may be launched before the coordinator initialises the
     # queue (common in scripted deployments): wait for it, bounded by
@@ -234,7 +232,7 @@ def run_worker(
             except (OSError, ValueError):
                 lease_ttl = float(meta.get("lease_ttl", DEFAULT_LEASE_TTL))
             _run_shard(
-                queue, lease, run_cell, progress, stats,
+                queue, lease, progress, stats,
                 heartbeat_interval=max(0.05, lease_ttl / 4.0),
                 telemetry=tele,
             )
@@ -268,7 +266,6 @@ def run_worker(
 def _run_shard(
     queue: FsQueue,
     lease: Lease,
-    run_cell,
     progress: ProgressLog,
     stats: WorkerStats,
     heartbeat_interval: float = DEFAULT_LEASE_TTL / 4.0,
@@ -283,6 +280,7 @@ def _run_shard(
     """
     from ..core.batch import group_cells
     from ..core.campaign import ResultCache, cell_token
+    from ..core.run import run_spec
     from ..spec import SPEC_VERSION, CellSpec
 
     manifest = lease.spec
@@ -339,7 +337,7 @@ def _run_shard(
                 telemetry.inc("worker.cells.cached")
                 continue
             cell_t0 = time.monotonic()
-            value = run_cell(spec)
+            value = run_spec(spec).avebsld
             cell_seconds = time.monotonic() - cell_t0
             cache.put(token, value)
             ran += 1

@@ -10,7 +10,8 @@ bookkeeping to the hot loop.
 
 The environment is deliberately *not* a step-API gym: the engine drives
 time and asks the policy for decisions (the scheduler callback IS the
-policy query), so a rollout is a single ``session.drain()`` with a
+policy query), so a rollout is a single :func:`repro.sim.simulate` call
+-- the same replay tests, examples and campaign cells use -- with a
 recorder attached.  The per-decision score-function terms are
 accumulated incrementally into one episode gradient
 (``sum_t  e(a_t) - sum_i pi_i e(i)`` in augmented F+1 space), which is
@@ -26,8 +27,8 @@ from typing import Any
 import numpy as np
 
 from ..metrics.slowdown import average_bounded_slowdown
-from ..sim.session import SimSession
-from ..spec import corrector_registry, predictor_registry
+from ..sim.engine import simulate
+from ..spec import Components
 from ..workload.archive import get_trace
 from ..workload.trace import Trace
 from .policy import FEATURE_NAMES, LinearSoftmaxPolicy, RLBackfillScheduler
@@ -141,6 +142,9 @@ class BackfillEnv:
 
     def __init__(self, config: EnvConfig) -> None:
         self.config = config
+        # "fcfs" only fills the scheduler slot: every rollout drives its
+        # own policy scheduler instead
+        self._components = Components.make(config.predictor, config.corrector, "fcfs")
         self._traces: dict[int, Trace] = {}
 
     def trace(self, seed: int) -> Trace:
@@ -183,24 +187,15 @@ class BackfillEnv:
             temperature=temperature,
             recorder=recorder,
         )
-        predictor = predictor_registry().build(cfg.predictor)
-        corrector = (
-            corrector_registry().build(cfg.corrector)
-            if cfg.corrector not in (None, "none")
-            else None
-        )
-        trace = self.trace(seed)
-        session = SimSession(
-            trace.processors,
+        _, predictor, corrector = self._components.build()
+        result = simulate(
+            self.trace(seed),
             scheduler,
             predictor,
             corrector,
             min_prediction=cfg.min_prediction,
-            trace_name=trace.name,
         )
-        session.feed(trace)
-        session.drain()
-        avebsld = average_bounded_slowdown(session.result(), cfg.tau)
+        avebsld = average_bounded_slowdown(result, cfg.tau)
         episode = Episode(seed=seed, avebsld=avebsld, return_=-avebsld)
         if recorder is not None:
             episode.grad = recorder.grad

@@ -53,6 +53,7 @@ from typing import IO, Any
 from ..obs import get_logger
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.session import MachineEvent, MonotonicityError, SimSession
+from ..spec import Components
 from ..workload.job import Job
 
 _log = get_logger("serve")
@@ -89,18 +90,10 @@ def build_serve_session(
     serving layer, so a served session's snapshot carries engine event
     counters next to the request-latency histograms.
     """
-    from ..correct import make_corrector
-    from ..predict import make_predictor
-    from ..sched import make_scheduler
-
-    built_corrector = None
-    if corrector and corrector != "none":
-        built_corrector = make_corrector(corrector)
+    components = Components.make(predictor, corrector or None, scheduler)
     return SimSession(
         processors,
-        make_scheduler(scheduler),
-        make_predictor(predictor),
-        built_corrector,
+        *components.build(),
         min_prediction=min_prediction,
         trace_name=name,
         telemetry=telemetry,

@@ -6,11 +6,13 @@ component that knows actual runtimes; schedulers see predictions, and
 predictors learn only from completions.
 
 The event loop itself lives in :class:`repro.sim.session.SimSession`,
-the incremental streaming API; :class:`Simulator` and :func:`simulate`
-are thin batch shims that feed a whole trace into a fresh session and
-drain it.  The loop semantics (matching pyss and the paper's on-line
-setting) are unchanged -- schedules are byte-identical to the pre-session
-engine, so ``ENGINE_VERSION`` did not move:
+the incremental streaming API; :func:`simulate` is the batch entry
+point that feeds a whole trace into a fresh session and drains it.
+Hold a session directly for incremental feeding, live queries, machine
+events or the run's :class:`EngineStats`.  The loop semantics (matching
+pyss and the paper's on-line setting) are unchanged -- schedules are
+byte-identical to the pre-session engine, so ``ENGINE_VERSION`` did not
+move:
 
 * all events at one timestamp are processed before any scheduling
   decision, in FINISH < EXPIRE < SUBMIT order;
@@ -43,7 +45,7 @@ if TYPE_CHECKING:  # imported for type hints only; avoids an import cycle
     from ..predict.base import Predictor
     from ..sched.base import Scheduler
 
-__all__ = ["Simulator", "EngineStats", "simulate", "ENGINE_VERSION"]
+__all__ = ["EngineStats", "simulate", "ENGINE_VERSION"]
 
 #: Bumped whenever engine or scheduler semantics could change simulation
 #: outcomes; campaign cache keys embed it so stale results never survive
@@ -62,56 +64,6 @@ class EngineStats:
     max_queue_length: int = 0
 
 
-class Simulator:
-    """One simulation = trace x scheduler x predictor x corrector.
-
-    Batch compatibility wrapper: :meth:`run` feeds the whole trace into a
-    fresh :class:`~repro.sim.session.SimSession` and drains it.  Code
-    that needs incremental feeding, live queries or machine events should
-    hold a session directly.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        scheduler: Scheduler,
-        predictor: Predictor,
-        corrector: Corrector | None = None,
-        min_prediction: float = 60.0,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        if min_prediction <= 0:
-            raise ValueError("min_prediction must be positive")
-        self.trace = trace
-        self.scheduler = scheduler
-        self.predictor = predictor
-        self.corrector = corrector
-        self.min_prediction = float(min_prediction)
-        self.telemetry = telemetry
-        self.stats = EngineStats()
-
-    def session(self) -> SimSession:
-        """A fresh session wired with this simulator's components."""
-        session = SimSession(
-            self.trace.processors,
-            self.scheduler,
-            self.predictor,
-            self.corrector,
-            min_prediction=self.min_prediction,
-            trace_name=self.trace.name,
-            telemetry=self.telemetry,
-        )
-        self.stats = session.stats
-        return session
-
-    def run(self) -> SimulationResult:
-        """Execute the full trace; returns when every job has completed."""
-        session = self.session()
-        session.feed(self.trace)
-        session.drain()
-        return session.result()
-
-
 def simulate(
     trace: Trace,
     scheduler: Scheduler,
@@ -120,12 +72,17 @@ def simulate(
     min_prediction: float = 60.0,
     telemetry: Telemetry | None = None,
 ) -> SimulationResult:
-    """Convenience wrapper: one batch run over a session."""
-    return Simulator(
-        trace,
+    """Replay a whole trace through a fresh session; returns when every
+    job has completed."""
+    session = SimSession(
+        trace.processors,
         scheduler,
         predictor,
-        corrector=corrector,
+        corrector,
         min_prediction=min_prediction,
+        trace_name=trace.name,
         telemetry=telemetry,
-    ).run()
+    )
+    session.feed(trace)
+    session.drain()
+    return session.result()

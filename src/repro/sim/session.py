@@ -1,16 +1,16 @@
 """Incremental simulation sessions: the engine as a streaming API.
 
-The batch entry points (:class:`repro.sim.engine.Simulator` and
-:func:`repro.sim.engine.simulate`) drain a finished trace and exit.  A
-:class:`SimSession` is the same event loop opened up for *live* use: jobs,
-externally-observed completions and machine capacity events can be fed in
-while the session runs, time advances monotonically under caller control,
-and "when will this job start?" queries are answered from the current
-availability profile without mutating any scheduling state.
+The batch entry point (:func:`repro.sim.engine.simulate`) drains a
+finished trace and exits.  A :class:`SimSession` is the same event loop
+opened up for *live* use: jobs, externally-observed completions and
+machine capacity events can be fed in while the session runs, time
+advances monotonically under caller control, and "when will this job
+start?" queries are answered from the current availability profile
+without mutating any scheduling state.
 
-The loop body is byte-for-byte the batch semantics (the batch wrappers
-are now thin shims over a session), so a session that is fed a whole
-trace and drained produces schedules identical to ``Simulator.run()``:
+The loop body is byte-for-byte the batch semantics (``simulate`` is a
+session fed a whole trace and drained), so a streaming feed produces
+schedules identical to a batch replay:
 
 * all events at one timestamp are processed before any scheduling
   decision, in FINISH < EXPIRE < SUBMIT < MACHINE order (see

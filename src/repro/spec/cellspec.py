@@ -32,7 +32,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .components import (
     ComponentSpec,
@@ -41,6 +41,11 @@ from .components import (
     predictor_registry,
     scheduler_registry,
 )
+
+if TYPE_CHECKING:  # imported for type hints only; avoids an import cycle
+    from ..correct.base import Corrector
+    from ..predict.base import Predictor
+    from ..sched.base import Scheduler
 
 __all__ = ["SPEC_VERSION", "WorkloadSpec", "Components", "CellSpec", "canonical_json"]
 
@@ -146,6 +151,18 @@ class Components(NamedTuple):
             else corrector_registry().normalize(corrector),
             scheduler_registry().normalize(scheduler),
         )
+
+    def build(self) -> tuple[Scheduler, Predictor, Corrector | None]:
+        """Fresh ``(scheduler, predictor, corrector)`` instances, the
+        argument order of :func:`repro.sim.simulate` and
+        :class:`repro.sim.SimSession`; ``corrector`` is ``None`` when the
+        triple runs uncorrected."""
+        scheduler = scheduler_registry().build(self.scheduler)
+        predictor = predictor_registry().build(self.predictor)
+        corrector = (
+            corrector_registry().build(self.corrector) if self.corrector else None
+        )
+        return scheduler, predictor, corrector
 
     @property
     def triple_key(self) -> str | None:
@@ -284,15 +301,6 @@ class CellSpec:
         return cached
 
     # -- component access -----------------------------------------------------
-    def build_components(self) -> tuple:
-        """Fresh ``(scheduler, predictor, corrector)`` instances."""
-        scheduler = scheduler_registry().build(self.scheduler)
-        predictor = predictor_registry().build(self.predictor)
-        corrector = (
-            corrector_registry().build(self.corrector) if self.corrector else None
-        )
-        return scheduler, predictor, corrector
-
     @property
     def components(self) -> Components:
         """The ``(predictor, corrector, scheduler)`` specs as one key."""

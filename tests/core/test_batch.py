@@ -14,19 +14,22 @@ import json
 import pytest
 
 from repro.core import (
-    BatchRunner,
     BundleCache,
+    build_workload,
     bundle_cache,
     clear_bundle_cache,
     get_bundle,
     group_cells,
     plan_batches,
-    run_cell,
+    run_batch_report,
     run_cells,
+    run_components_on_trace,
+    run_spec,
     run_spec_result,
     workload_key,
 )
 from repro.dist import LocalBroker
+from repro.sim import simulate
 from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
 
 from tests.helpers import triple_cell
@@ -55,13 +58,16 @@ def family_matrix(log=LOG, n_jobs=N_JOBS, seed=SEED):
     ]
 
 
-def schedule_bytes(spec):
-    result = run_spec_result(spec)
+def result_bytes(result):
     rows = sorted(
         (r.job_id, r.start_time, r.end_time, r.corrections, r.raw_prediction)
         for r in result
     )
     return json.dumps(rows).encode("utf-8")
+
+
+def schedule_bytes(spec):
+    return result_bytes(run_spec_result(spec))
 
 
 class TestByteIdentity:
@@ -82,6 +88,28 @@ class TestByteIdentity:
         # one miss for the shared trace, everything else served warm
         assert cache.misses - misses0 == 1
         assert cache.hits - hits0 == len(cells) - 1
+
+    def test_cell_path_matches_object_path(self):
+        """Every scheduler family x predictor family: the cell path
+        (``run_spec_result``, which binds the bundle's precomputed static
+        ML rows), the object path (``simulate`` over freshly built
+        components, which extracts the rows live) and
+        ``run_components_on_trace`` produce byte-identical schedules."""
+        for spec in family_matrix():
+            trace = build_workload(spec.workload)
+            via_objects = simulate(
+                trace, *spec.components.build(), min_prediction=spec.min_prediction
+            )
+            via_names = run_components_on_trace(
+                trace,
+                spec.predictor,
+                spec.corrector,
+                spec.scheduler,
+                min_prediction=spec.min_prediction,
+            )
+            cell = schedule_bytes(spec)
+            assert cell == result_bytes(via_objects), spec.label
+            assert cell == result_bytes(via_names), spec.label
 
     def test_paper_spec_sampled_cells(self):
         """Deterministic sample of the paper's 128+2 matrix, shrunk to a
@@ -216,25 +244,18 @@ class TestBundleCache:
         assert cache.misses == misses_before + 1  # truly cold again
 
 
-class TestBatchRunner:
-    def test_scores_match_per_cell_run_cell(self):
+class TestRunBatchReport:
+    def test_scores_match_per_cell_run_spec(self):
         cells = family_matrix(n_jobs=60)[:6]
         clear_bundle_cache()
-        runner = BatchRunner()
-        results = runner.run(cells)
+        cache = bundle_cache()
+        misses0 = cache.misses
+        results = run_batch_report(cells)
         assert [spec for spec, _s, _r in results] == cells
+        assert cache.misses - misses0 == 1  # one shared trace group
         for spec, score, report in results:
-            assert score == run_cell(spec)
+            assert score == run_spec(spec).avebsld
             assert report["seconds"] >= 0.0
-        assert runner.stats.cells == len(cells)
-        assert runner.stats.groups == 1
-        assert runner.stats.bundles_built <= 1
-
-    def test_on_result_streams_every_cell(self):
-        cells = family_matrix(n_jobs=60)[:3]
-        seen = []
-        BatchRunner().run(cells, on_result=lambda spec, _s, _r: seen.append(spec))
-        assert seen == cells
 
 
 class TestCampaignCacheRows:

@@ -21,10 +21,6 @@ def _campaign(triples):
     return [t for t in triples if t.predictor.name != "clairvoyant"]
 
 
-def _build(components: Components):
-    return CellSpec.make(WorkloadSpec.make("KTH-SP2"), *components).build_components()
-
-
 class TestEnumeration:
     def test_exactly_128_triples(self, paper_triples):
         """The paper: 'the experimental campaign runs 128 simulations'."""
@@ -81,14 +77,14 @@ class TestTripleMechanics:
         assert cell.label == ELOSS.label == "ml:sq-lin-large-area|incremental|easy-sjbf"
 
     def test_build_easy(self):
-        scheduler, predictor, corrector = _build(EASY)
+        scheduler, predictor, corrector = EASY.build()
         assert isinstance(scheduler, EasyScheduler)
         assert scheduler.backfill_order == "fcfs"
         assert isinstance(predictor, RequestedTimePredictor)
         assert corrector is None
 
     def test_build_eloss_winner(self):
-        scheduler, predictor, corrector = _build(ELOSS)
+        scheduler, predictor, corrector = ELOSS.build()
         assert isinstance(scheduler, EasyScheduler)
         assert scheduler.backfill_order == "sjbf"
         assert isinstance(predictor, MLPredictor)
@@ -96,8 +92,8 @@ class TestTripleMechanics:
         assert isinstance(corrector, IncrementalCorrector)
 
     def test_build_returns_fresh_state(self):
-        s1, p1, c1 = _build(EASYPP)
-        s2, p2, c2 = _build(EASYPP)
+        s1, p1, c1 = EASYPP.build()
+        s2, p2, c2 = EASYPP.build()
         assert s1 is not s2
         assert p1 is not p2
 

@@ -186,12 +186,12 @@ class TestCrashRecovery:
             queue.enqueue(shard.manifest())
         zombie = queue.claim("zombie")
         assert zombie is not None
-        from repro.core import run_cell
+        from repro.core import run_spec
         from repro.core.campaign import cell_token
         from repro.spec import CellSpec
 
         zombie_cell = CellSpec.from_obj(zombie.spec["cells"][0])
-        value = run_cell(zombie_cell)
+        value = run_spec(zombie_cell).avebsld
         zombie_cache = ResultCache(queue.result_path(zombie.shard_id, zombie.attempt))
         zombie_cache.put(cell_token(zombie_cell), value)
         zombie_cache.close()

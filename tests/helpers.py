@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 
 from repro.sim.results import JobRecord
+from repro.sim.session import SimSession
 from repro.spec import (
     CellSpec,
     WorkloadSpec,
@@ -20,7 +21,14 @@ from repro.spec import (
 )
 from repro.workload import Job
 
-__all__ = ["PAPER_SPEC", "make_job", "make_record", "paper_cells", "triple_cell"]
+__all__ = [
+    "PAPER_SPEC",
+    "drained_session",
+    "make_job",
+    "make_record",
+    "paper_cells",
+    "triple_cell",
+]
 
 PAPER_SPEC = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "experiments", "paper.toml"
@@ -47,6 +55,19 @@ def paper_cells(
         load_spec_file(PAPER_SPEC), logs=logs, n_jobs=n_jobs, replicas=replicas
     )
     return expand_spec_obj(doc, source=PAPER_SPEC)
+
+
+def drained_session(trace, scheduler, predictor, corrector=None, **kwargs) -> SimSession:
+    """A session fed the whole trace and drained -- what
+    :func:`repro.sim.simulate` runs, kept open so a test can read its
+    ``stats`` next to ``result()``.  ``kwargs`` go to :class:`SimSession`
+    (``min_prediction``, ``telemetry``, ...)."""
+    session = SimSession(
+        trace.processors, scheduler, predictor, corrector, trace_name=trace.name, **kwargs
+    )
+    session.feed(trace)
+    session.drain()
+    return session
 
 
 def make_job(

@@ -17,7 +17,7 @@ from repro.core.run import run_cell_report, run_spec
 from repro.obs import Telemetry
 from repro.spec import CellSpec
 
-from tests.helpers import triple_cell
+from tests.helpers import drained_session, triple_cell
 
 TRIPLES = [
     "requested|none|easy",
@@ -33,21 +33,13 @@ def _spec(triple_key: str, n_jobs: int = 120) -> CellSpec:
 
 def _schedule(outcome_spec: CellSpec, telemetry: Telemetry | None):
     from repro.core.run import build_workload
-    from repro.sim.session import SimSession
 
-    trace = build_workload(outcome_spec.workload)
-    scheduler, predictor, corrector = outcome_spec.build_components()
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
+    session = drained_session(
+        build_workload(outcome_spec.workload),
+        *outcome_spec.components.build(),
         min_prediction=outcome_spec.min_prediction,
-        trace_name=trace.name,
         telemetry=telemetry,
     )
-    session.feed(trace)
-    session.drain()
     return sorted(
         (r.job_id, r.start_time, r.end_time, r.corrections)
         for r in session.result()

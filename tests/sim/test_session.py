@@ -1,5 +1,5 @@
 """Streaming session API: equivalence with batch, monotonicity, queries,
-machine events, external completions, and the batch Simulator wrapper."""
+machine events and external completions."""
 
 import json
 
@@ -17,10 +17,9 @@ from repro.sim import (
     MachineEvent,
     MonotonicityError,
     SimSession,
-    Simulator,
     simulate,
 )
-from repro.spec import CellSpec, Components, WorkloadSpec
+from repro.spec import Components
 from repro.workload import Trace, get_trace
 
 from tests.helpers import make_job, paper_cells
@@ -34,14 +33,8 @@ def schedule_bytes(result) -> bytes:
     return json.dumps(rows).encode("utf-8")
 
 
-def build(triple: Components) -> tuple:
-    """Fresh ``(scheduler, predictor, corrector)`` for one triple."""
-    return CellSpec.make(WorkloadSpec.make("KTH-SP2"), *triple).build_components()
-
-
 def make_session(triple: Components, processors: int) -> SimSession:
-    scheduler, predictor, corrector = build(triple)
-    return SimSession(processors, scheduler, predictor, corrector)
+    return SimSession(processors, *triple.build())
 
 
 def stream_trace(session: SimSession, trace: Trace) -> None:
@@ -66,7 +59,7 @@ def stream_kth() -> Trace:
 
 
 class TestBatchStreamingEquivalence:
-    """A streamed session must be byte-identical to ``Simulator.run()``."""
+    """A streamed session must be byte-identical to ``simulate()``."""
 
     # every 16th of the 128-triple campaign matrix, plus the references
     SAMPLE = [
@@ -80,7 +73,7 @@ class TestBatchStreamingEquivalence:
 
     @pytest.mark.parametrize("triple", SAMPLE, ids=lambda t: t.label)
     def test_streamed_schedule_matches_batch(self, stream_kth, triple):
-        scheduler, predictor, corrector = build(triple)
+        scheduler, predictor, corrector = triple.build()
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
         session = make_session(triple, stream_kth.processors)
@@ -88,7 +81,7 @@ class TestBatchStreamingEquivalence:
         assert schedule_bytes(session.result()) == schedule_bytes(batch)
 
     def test_single_feed_then_drain_matches_batch(self, stream_kth):
-        scheduler, predictor, corrector = build(EASYPP)
+        scheduler, predictor, corrector = EASYPP.build()
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
         session = make_session(EASYPP, stream_kth.processors)
@@ -170,7 +163,7 @@ class TestMidStreamFeed:
         """Streaming half the trace, draining to the midpoint, then
         feeding the rest still reproduces the batch schedule (every job
         is fed before the clock passes its submit time)."""
-        scheduler, predictor, corrector = build(EASYPP)
+        scheduler, predictor, corrector = EASYPP.build()
         batch = simulate(stream_kth, scheduler, predictor, corrector)
 
         session = make_session(EASYPP, stream_kth.processors)
@@ -445,22 +438,3 @@ class TestSnapshotAndResult:
         assert [r.job_id for r in partial] == [3]
         session.drain()
         assert len(session.result()) == 3
-
-
-class TestDeprecationShims:
-    """The batch :class:`Simulator` wrapper; its event-handler internals
-    live on :class:`SimSession` only."""
-
-    def test_unknown_attribute_still_raises_plainly(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        with pytest.raises(AttributeError):
-            sim.definitely_not_an_attribute
-        with pytest.raises(AttributeError):
-            sim._schedule_pass  # moved to SimSession
-
-    def test_simulator_stats_track_session(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        result = sim.run()
-        assert len(result) == 3
-        assert sim.stats.n_events > 0
-        assert sim.stats.max_queue_length >= 1

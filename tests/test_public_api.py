@@ -48,6 +48,6 @@ class TestPublicSurface:
             if cell.components in seen:
                 continue
             seen.add(cell.components)
-            scheduler, predictor, corrector = cell.build_components()
+            scheduler, predictor, corrector = cell.components.build()
             assert scheduler is not None and predictor is not None
         assert len(seen) == 130
